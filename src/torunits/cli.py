@@ -8,7 +8,8 @@ identical bytes no matter how the work was partitioned.
 
 Exit codes: 0 when every check passed / every case was eliminated,
 1 when a survivor or a property violation was found, 2 on invalid
-input.
+input, 3 on an internal error (a failed invariant or exact solve; no
+report is written).
 """
 
 from __future__ import annotations
@@ -25,13 +26,21 @@ from torunits.cyclotomic import real_trace
 from torunits.divisibility import PowerSums, check_vanishing, cyclotomic_value_divisible
 from torunits.helpengine import (
     CaseInapplicableError,
+    InvariantViolationError,
     check_case,
     explore_augmentations,
     verify_order,
 )
 from torunits.numtheory import euler_phi
 from torunits.psl2 import admissible_orders, group_profile
-from torunits.realbasis import basis_change_det, basis_coeff, basis_indices, decompose, recompose
+from torunits.realbasis import (
+    DecompositionError,
+    basis_change_det,
+    basis_coeff,
+    basis_indices,
+    decompose,
+    recompose,
+)
 
 SCHEMA_VERSION = 1
 
@@ -79,7 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, help="exponent / character index")
         sp.add_argument("--input", help="instance file")
         sp.add_argument("--output", help="report file (default: report.json)")
-        sp.add_argument("--workers", type=int, default=1, help="parallel workers")
+        sp.add_argument(
+            "--workers", type=int, default=1, help="parallel workers (>= 1, capped at CPU count)"
+        )
         sp.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
         sp.add_argument(
             "--list-survivors",
@@ -303,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, CaseInapplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (InvariantViolationError, DecompositionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     path = _write_report(config, results, ok)
     print(f"report written to {path}")
     return 0 if ok else 1

@@ -32,6 +32,7 @@ certificates are byte-stable regardless of worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,15 +44,11 @@ from torunits.numtheory import (
     class_rep,
     class_reps,
     divisors,
-    moebius,
-    near_zero_part,
-    pair_weight,
     prime_count,
     prime_divisors,
-    same_class,
 )
 from torunits.psl2 import character_value, group_profile, is_prime_power
-from torunits.realbasis import basis_indices
+from torunits.realbasis import basis_indices, trace_coordinates
 
 
 class CaseInapplicableError(ValueError):
@@ -414,43 +411,18 @@ def enumerate_patterns(n: int, d: int) -> Iterator[EigenPattern]:
 # -- deviation vectors ---------------------------------------------------
 
 
-def _contribution_table(n: int) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-    """Per-class coordinate contributions at every basis index.
-
-    contribution[x][k] is the distinguished-basis coordinate at
-    basis[k] of the real trace element of the class x, by the closed
-    formula: pair_weight * moebius(near-zero part) * [same class mod
-    n/(near-zero part)].
-    """
-    basis = basis_indices(n)
-    table = {}
-    for x in class_reps(n):
-        g = near_zero_part(n, x)
-        mu = moebius(g)
-        w = pair_weight(n, x)
-        mod = n // g
-        table[x] = tuple(w * mu * (1 if same_class(mod, b, x) else 0) for b in basis)
-    return basis, table
-
-
-_CONTRIB_CACHE: dict[int, tuple[tuple[int, ...], dict[int, tuple[int, ...]]]] = {}
-
-
-def _contributions(n: int):
-    cached = _CONTRIB_CACHE.get(n)
-    if cached is None:
-        cached = _contribution_table(n)
-        _CONTRIB_CACHE[n] = cached
-    return cached
+def _class_sum(n: int, classes) -> list[int]:
+    """Closed-form coordinates of the sum of real_trace(n, x) over the classes x."""
+    table = trace_coordinates(n)
+    acc = [0] * len(basis_indices(n))
+    for x in classes:
+        for k, v in enumerate(table[x]):
+            acc[k] += v
+    return acc
 
 
 def _identity_vector(n: int, d: int) -> tuple[int, ...]:
-    basis, table = _contributions(n)
-    acc = [0] * len(basis)
-    for i in range(1, d + 1):
-        for k, v in enumerate(table[class_rep(n, i)]):
-            acc[k] += v
-    return tuple(acc)
+    return tuple(_class_sum(n, (class_rep(n, i) for i in range(1, d + 1))))
 
 
 def deviation_vector(pattern: EigenPattern) -> tuple[int, ...]:
@@ -460,21 +432,14 @@ def deviation_vector(pattern: EigenPattern) -> tuple[int, ...]:
     (character value at the candidate) - (character value at g), by the closed
     coefficient formula.
     """
-    n, d = pattern.n, pattern.d
-    basis, table = _contributions(n)
-    acc = [0] * len(basis)
-    for x in pattern.classes:
-        for k, v in enumerate(table[x]):
-            acc[k] += v
-    ident = _identity_vector(n, d)
-    return tuple(a - b for a, b in zip(acc, ident))
+    ident = _identity_vector(pattern.n, pattern.d)
+    return tuple(a - b for a, b in zip(_class_sum(pattern.n, pattern.classes), ident))
 
 
 def deviation(pattern: EigenPattern, b: int) -> int:
     """Deviation coordinate at one basis index b."""
-    basis, _ = _contributions(pattern.n)
     try:
-        k = basis.index(b)
+        k = basis_indices(pattern.n).index(b)
     except ValueError:
         raise ValueError(f"{b} is not a basis index for n={pattern.n}") from None
     return deviation_vector(pattern)[k]
@@ -590,13 +555,22 @@ def _classify_chunk(args) -> list[tuple]:
     return out
 
 
+def _pool_size(workers: int) -> int:
+    """The number of worker processes to start for a requested count."""
+    if workers < 1:
+        raise ValueError(f"need at least 1 worker, got {workers}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def check_case(n: int, d: int, workers: int = 1) -> CaseCertificate:
     """Examine every admissible pattern for (n, d) and certify the outcome.
 
     A pattern survives iff its deviation vector is nonzero and divisible
     by d at every basis index; "eliminated" means no pattern survives.
-    The certificate is deterministic and identical for any worker count.
+    The certificate is deterministic and identical for any worker count;
+    the count must be at least 1 and is capped at the machine's CPU count.
     """
+    workers = _pool_size(workers)
     cands = candidate_divisors(n)
     if not cands.applicable:
         raise CaseInapplicableError(f"order {n} not applicable: {cands.reason}")
@@ -607,7 +581,7 @@ def check_case(n: int, d: int, workers: int = 1) -> CaseCertificate:
             raise CaseInapplicableError(f"divisor {d} of {n} excluded a priori: {dropped[d]}")
         raise CaseInapplicableError(f"{d} is not a candidate divisor of {n}")
 
-    basis, table = _contributions(n)
+    basis, table = basis_indices(n), trace_coordinates(n)
     ident = _identity_vector(n, d)
     neg_ident = tuple(-v for v in ident)
     cap = 2 ** (prime_count(d) + 2)
@@ -781,6 +755,7 @@ def verify_order(n: int, q: int | None = None, workers: int = 1) -> OrderVerdict
     orders of the given group) are verified by prior results taken as
     given and carry an explanatory note instead of case certificates.
     """
+    workers = _pool_size(workers)
     if n < 1 or n % 2 == 0:
         raise ValueError(f"order must be odd and positive, got {n}")
     notes: list[str] = []

@@ -9,13 +9,15 @@ closed form:
     coeff of b in real_trace(n, i)
         = pair_weight(n, i) * moebius(g) * [b ~ i mod n/g],   g = near_zero_part(n, i)
 
-This module provides the closed formula, a general decomposition
-routine that solves the exact linear system in the power basis of
-Z[zeta_n] (used as an independent oracle for the formula), the inverse
-recomposition, and the change-of-basis determinant against the power
-basis of the real subring.
+This module holds the closed formula, as one coordinate row per sign
+class (trace_coordinates), and a general decomposition routine that
+solves the exact linear system in the power basis of Z[zeta_n] (used
+as an independent oracle for the formula).  It also provides the
+inverse recomposition and the change-of-basis determinant against the
+power basis of the real subring.
 
-Rational linear algebra is done with Fraction arithmetic; a non-integer
+All linear algebra is one fraction-free integer elimination (Bareiss),
+which serves both the solves and the determinant.  A non-integral
 coordinate for an integral element would contradict the basis property
 and raises DecompositionError rather than being rounded.
 """
@@ -23,13 +25,14 @@ and raises DecompositionError rather than being rounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 from torunits.cyclotomic import CycInt, real_trace
 from torunits.numtheory import (
     basis_exponents,
+    class_rep,
+    class_reps,
     moebius,
     near_zero_part,
     pair_weight,
@@ -49,14 +52,29 @@ def basis_indices(n: int) -> tuple[int, ...]:
     return tuple(b for b in basis_exponents(n) if 2 * b < n)
 
 
+@lru_cache(maxsize=None)
+def trace_coordinates(n: int) -> dict[int, tuple[int, ...]]:
+    """Closed-form coordinates of real_trace(n, x) for every class x.
+
+    The row of x holds, in basis_indices(n) order, the coordinate at
+    each basis index b: pair_weight(n, x) * moebius(g) * [b ~ x mod n/g]
+    with g = near_zero_part(n, x).  The dict is shared; do not mutate it.
+    """
+    basis = basis_indices(n)
+    rows = {}
+    for x in class_reps(n):
+        g = near_zero_part(n, x)
+        coeff = pair_weight(n, x) * moebius(g)
+        rows[x] = tuple(coeff if same_class(n // g, b, x) else 0 for b in basis)
+    return rows
+
+
 def basis_coeff(n: int, b: int, i: int) -> int:
     """Closed-form coordinate of real_trace(n, i) at basis index b."""
-    if b not in _basis_index_set(n):
+    basis = basis_indices(n)
+    if b not in basis:
         raise ValueError(f"{b} is not a basis index for n={n}")
-    g = near_zero_part(n, i)
-    if not same_class(n // g, b, i):
-        return 0
-    return pair_weight(n, i) * moebius(g)
+    return trace_coordinates(n)[class_rep(n, i)][basis.index(b)]
 
 
 @dataclass(frozen=True)
@@ -78,10 +96,13 @@ class RealCoords:
 
 def decompose_combination(n: int, terms: Mapping[int, int]) -> RealCoords:
     """Coordinates of sum(c_i * real_trace(n, i)) via the closed formula."""
-    coords = {}
-    for b in basis_indices(n):
-        coords[b] = sum(c * basis_coeff(n, b, i) for i, c in terms.items())
-    return RealCoords(n, coords)
+    basis = basis_indices(n)
+    rows = trace_coordinates(n)
+    acc = [0] * len(basis)
+    for i, c in terms.items():
+        for k, v in enumerate(rows[class_rep(n, i)]):
+            acc[k] += c * v
+    return RealCoords(n, dict(zip(basis, acc)))
 
 
 def decompose(x: CycInt) -> RealCoords:
@@ -96,20 +117,14 @@ def decompose(x: CycInt) -> RealCoords:
         raise ValueError(f"need an odd modulus >= 3, got {n}")
     if not x.is_real():
         raise ValueError("element is not fixed by inversion, cannot decompose")
-    solver = _basis_solver(n)
     try:
-        sol = solver.solve([Fraction(c) for c in x.reduced])
-    except _InconsistentSystem as exc:
-        raise DecompositionError(f"no rational coordinates over n={n}: {exc}") from exc
-    coords = {}
-    for b, v in zip(basis_indices(n), sol):
-        if v.denominator != 1:
-            raise DecompositionError(
-                f"non-integer coordinate {v} at basis index {b} for n={n}; "
-                "this contradicts the integral basis property"
-            )
-        coords[b] = int(v)
-    return RealCoords(n, coords)
+        sol = _basis_solver(n).solve(x.reduced)
+    except DecompositionError as exc:
+        raise DecompositionError(
+            f"no integral coordinates over n={n} ({exc}); "
+            "this contradicts the integral basis property"
+        ) from exc
+    return RealCoords(n, dict(zip(basis_indices(n), sol)))
 
 
 def recompose(e: RealCoords) -> CycInt:
@@ -130,141 +145,121 @@ def basis_change_det(n: int) -> int:
     entries are integers and the determinant is +-1 exactly when the
     distinguished set is a Z-basis of Z[a].
     """
-    k = len(basis_indices(n))
     solver = _power_solver(n)
-    rows = []
-    for b in basis_indices(n):
-        rhs = [Fraction(c) for c in real_trace(n, b).reduced]
-        sol = solver.solve(rhs)
-        row = []
-        for j, v in enumerate(sol):
-            if v.denominator != 1:
-                raise DecompositionError(
-                    f"real_trace({n},{b}) has non-integer power-basis coordinate {v} at {j}"
-                )
-            row.append(int(v))
-        rows.append(row)
-    assert len(rows) == k
-    return _int_det(rows)
+    try:
+        rows = [solver.solve(real_trace(n, b).reduced) for b in basis_indices(n)]
+    except DecompositionError as exc:
+        raise DecompositionError(
+            f"a basis element over n={n} has no integral power-basis row ({exc})"
+        ) from exc
+    return _Bareiss(rows).det
 
 
 # -- exact linear algebra ---------------------------------------------
 
 
-class _InconsistentSystem(ValueError):
-    pass
+def _exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise DecompositionError(f"inexact fraction-free step {a} / {b}")
+    return q
 
 
-class _EchelonSolver:
-    """Forward-eliminates an exact rational matrix once, then solves many RHS.
+class _Bareiss:
+    """Fraction-free Gaussian elimination of an integer matrix (Bareiss 1968).
 
-    The matrix is given by rows (more rows than columns is fine); it
-    must have full column rank.  Row operations are recorded so each
-    solve costs one pass over the recorded operations plus a back
-    substitution, and any residual in the dependent rows is reported as
-    an inconsistency.
+    The matrix is given by rows (more rows than columns is fine).  Step r
+    multiplies each row below the pivot by the pivot, subtracts the pivot
+    row times the row's column-r entry and divides exactly by the
+    previous pivot; by Sylvester's identity every entry stays an integer
+    minor of the input, and the last pivot of a square matrix is its
+    determinant up to the sign of the row swaps.  The steps are recorded,
+    so each right-hand side is reduced in one integer pass and then
+    back-substituted.  Elimination stops at the first column without a
+    pivot: the rank is then short, det is 0 and solve refuses.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        m = [[Fraction(v) for v in row] for row in rows]
+        m = [list(row) for row in rows]
         self.nrows = len(m)
         self.ncols = len(m[0]) if m else 0
-        self.ops: list[tuple] = []
-        self.pivots: list[int] = []  # pivots[j] = row holding the pivot of column j
-        r = 0
-        for col in range(self.ncols):
-            pivot = next((i for i in range(r, self.nrows) if m[i][col]), None)
-            if pivot is None:
-                raise ValueError(f"matrix does not have full column rank (column {col})")
-            if pivot != r:
-                m[pivot], m[r] = m[r], m[pivot]
-                self.ops.append(("swap", pivot, r))
-            for i in range(r + 1, self.nrows):
-                if m[i][col]:
-                    f = m[i][col] / m[r][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-                    self.ops.append(("elim", i, r, f))
-            self.pivots.append(r)
-            r += 1
+        self.sign = 1
+        # per step: (swap row, pivot, previous pivot, column entries below the pivot)
+        self.steps: list[tuple[int, int, int, list[int]]] = []
+        prev = 1
+        for r in range(self.ncols):
+            swap = next((i for i in range(r, self.nrows) if m[i][r]), None)
+            if swap is None:
+                break
+            if swap != r:
+                m[swap], m[r] = m[r], m[swap]
+                self.sign = -self.sign
+            top = m[r]
+            pivot = top[r]
+            mults = []
+            for row in m[r + 1 :]:
+                f = row[r]
+                mults.append(f)
+                row[r] = 0
+                for j in range(r + 1, self.ncols):
+                    row[j] = _exact_div(pivot * row[j] - f * top[j], prev)
+            self.steps.append((swap, pivot, prev, mults))
+            prev = pivot
+        self.rank = len(self.steps)
         self.m = m
 
-    def solve(self, rhs: Sequence[Fraction]) -> list[Fraction]:
+    @property
+    def det(self) -> int:
+        """Determinant of a square matrix; 0 when it is singular."""
+        if self.nrows != self.ncols:
+            raise ValueError(f"no determinant for a {self.nrows}x{self.ncols} matrix")
+        if self.rank < self.ncols:
+            return 0
+        return self.sign * self.m[-1][-1] if self.ncols else 1
+
+    def solve(self, rhs: Sequence[int]) -> list[int]:
+        """The integer vector x with matrix * x == rhs.
+
+        Raises DecompositionError when the system has no solution or only
+        a non-integral one.
+        """
+        if self.rank < self.ncols:
+            raise ValueError(f"matrix does not have full column rank (column {self.rank})")
         if len(rhs) != self.nrows:
             raise ValueError(f"expected {self.nrows} right-hand entries, got {len(rhs)}")
         v = list(rhs)
-        for op in self.ops:
-            if op[0] == "swap":
-                _, i, j = op
-                v[i], v[j] = v[j], v[i]
-            else:
-                _, i, j, f = op
-                v[i] = v[i] - f * v[j]
-        x = [Fraction(0)] * self.ncols
-        for col in range(self.ncols - 1, -1, -1):
-            r = self.pivots[col]
-            acc = v[r]
-            row = self.m[r]
-            for c in range(col + 1, self.ncols):
-                if row[c]:
-                    acc -= row[c] * x[c]
-            x[col] = acc / row[col]
+        for r, (swap, pivot, prev, mults) in enumerate(self.steps):
+            v[swap], v[r] = v[r], v[swap]
+            top = v[r]
+            for i, f in enumerate(mults, r + 1):
+                v[i] = _exact_div(pivot * v[i] - f * top, prev)
         for i in range(self.ncols, self.nrows):
-            acc = v[i]
-            row = self.m[i]
-            for c in range(self.ncols):
-                if row[c]:
-                    acc -= row[c] * x[c]
-            if acc:
-                raise _InconsistentSystem(f"residual {acc} in dependent row {i}")
+            if v[i]:
+                raise DecompositionError(f"inconsistent system: residual {v[i]} in row {i}")
+        x = [0] * self.ncols
+        for col in range(self.ncols - 1, -1, -1):
+            row = self.m[col]
+            acc = v[col] - sum(row[c] * x[c] for c in range(col + 1, self.ncols))
+            x[col], rem = divmod(acc, row[col])
+            if rem:
+                raise DecompositionError(f"non-integral solution {acc}/{row[col]} at column {col}")
         return x
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    m = [row[:] for row in rows]
-    size = len(m)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
+@lru_cache(maxsize=None)
+def _basis_solver(n: int) -> _Bareiss:
+    """Elimination of the system whose columns are reduced basis elements."""
+    return _Bareiss(list(zip(*(real_trace(n, b).reduced for b in basis_indices(n)))))
 
 
 @lru_cache(maxsize=None)
-def _basis_index_set(n: int) -> frozenset[int]:
-    return frozenset(basis_indices(n))
-
-
-@lru_cache(maxsize=None)
-def _basis_solver(n: int) -> _EchelonSolver:
-    """Solver for the system whose columns are reduced basis elements."""
-    cols = [real_trace(n, b).reduced for b in basis_indices(n)]
-    rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
-    return _EchelonSolver(rows)
-
-
-@lru_cache(maxsize=None)
-def _power_solver(n: int) -> _EchelonSolver:
-    """Solver whose columns are reduced powers of real_trace(n, 1)."""
-    k = len(basis_indices(n))
+def _power_solver(n: int) -> _Bareiss:
+    """Elimination of the system whose columns are reduced powers of real_trace(n, 1)."""
     powers = [CycInt.one(n)]
     a = real_trace(n, 1)
-    for _ in range(k - 1):
+    for _ in range(len(basis_indices(n)) - 1):
         powers.append(powers[-1] * a)
-    cols = [p.reduced for p in powers]
-    rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
-    return _EchelonSolver(rows)
+    return _Bareiss(list(zip(*(p.reduced for p in powers))))
 
 
 __all__ = [
@@ -276,4 +271,5 @@ __all__ = [
     "decompose",
     "decompose_combination",
     "recompose",
+    "trace_coordinates",
 ]

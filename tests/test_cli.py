@@ -6,6 +6,8 @@ import pytest
 
 from torunits.cli import main
 from torunits.cyclotomic import cyclotomic_poly
+from torunits.helpengine import InvariantViolationError
+from torunits.realbasis import DecompositionError
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -146,3 +148,27 @@ def test_missing_required_flags(argv, tmp_path, capsys):
     code = main(argv + ["--output", str(tmp_path / "x.json")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_invalid(workers, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = main(["case", "--n", "15", "--d", "3", "--workers", workers, "--output", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "at least 1 worker" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [InvariantViolationError, DecompositionError])
+def test_internal_error_has_its_own_exit_code(error, monkeypatch, tmp_path, capsys):
+    from torunits import cli
+
+    def broken(*args, **kwargs):
+        raise error("deviation exceeds bound")
+
+    monkeypatch.setattr(cli, "check_case", broken)
+    out = tmp_path / "x.json"
+    code = main(["case", "--n", "15", "--d", "3", "--output", str(out)])
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("internal error: deviation exceeds bound")

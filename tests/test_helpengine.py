@@ -339,3 +339,45 @@ def test_explore_augmentations_n15():
         assert v == 1
         # every solution is a generator class whose powers match g's powers
         assert all(class_rep(15, x * c) == class_rep(15, c) for c in (3, 5))
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_check_case_rejects_worker_count_below_one():
+    for workers in (0, -1, -8):
+        with pytest.raises(ValueError, match="at least 1 worker"):
+            check_case(15, 3, workers=workers)
+        with pytest.raises(ValueError, match="at least 1 worker"):
+            verify_order(15, workers=workers)
+
+
+def test_check_case_caps_workers_at_cpu_count(monkeypatch):
+    from torunits import helpengine
+
+    monkeypatch.setattr(helpengine, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(helpengine.os, "cpu_count", lambda: 3)
+    _RecordingPool.requested = []
+    serial = check_case(15, 5, workers=1)
+    assert _RecordingPool.requested == []
+    assert check_case(15, 5, workers=10_000) == serial
+    assert check_case(15, 5, workers=2) == serial
+    assert _RecordingPool.requested == [3, 2]
+    monkeypatch.setattr(helpengine.os, "cpu_count", lambda: None)
+    assert check_case(15, 5, workers=10_000) == serial
+    assert _RecordingPool.requested == [3, 2]  # unknown CPU count: run serially

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -7,6 +8,7 @@ from torunits.numtheory import basis_exponents, euler_phi, moebius, near_zero_pa
 from torunits.realbasis import (
     DecompositionError,
     RealCoords,
+    _Bareiss,
     basis_change_det,
     basis_coeff,
     basis_indices,
@@ -122,3 +124,70 @@ def test_formula_vs_oracle_all_indices_small():
 
 def test_decomposition_error_type():
     assert issubclass(DecompositionError, ArithmeticError)
+
+
+# -- the fraction-free elimination kernel -------------------------------
+
+
+def _leibniz_det(rows):
+    size = len(rows)
+    total = 0
+    for perm in permutations(range(size)):
+        inversions = sum(1 for a in range(size) for b in range(a + 1, size) if perm[a] > perm[b])
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term *= rows[r][c]
+        total += term
+    return total
+
+
+def test_kernel_rejects_non_integral_solution():
+    with pytest.raises(DecompositionError, match="non-integral"):
+        _Bareiss([[2]]).solve([1])
+    assert _Bareiss([[2]]).solve([6]) == [3]
+
+
+def test_kernel_rejects_inconsistent_tall_system():
+    tall = _Bareiss([[1, 0], [0, 1], [1, 1]])
+    assert tall.solve([2, 3, 5]) == [2, 3]
+    with pytest.raises(DecompositionError, match="inconsistent"):
+        tall.solve([2, 3, 6])
+
+
+def test_kernel_rejects_rank_deficient_matrix():
+    for rows in ([[1, 2], [2, 4]], [[1, 2], [2, 4], [3, 6]], [[0, 1], [0, 2]]):
+        with pytest.raises(ValueError, match="full column rank"):
+            _Bareiss(rows).solve([0] * len(rows))
+
+
+def test_kernel_rejects_wrong_rhs_length():
+    with pytest.raises(ValueError):
+        _Bareiss([[1, 0], [0, 1]]).solve([1])
+
+
+def test_kernel_determinant_sign_follows_row_swaps():
+    assert _Bareiss([[0, 1], [1, 0]]).det == -1
+    assert _Bareiss([[1, 0], [0, 1]]).det == 1
+    assert _Bareiss([[0, 2, 1], [3, 1, 0], [1, 1, 1]]).det == -4
+    assert _Bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det == -1
+
+
+def test_kernel_determinant_of_singular_matrix_is_zero():
+    assert _Bareiss([[1, 2], [2, 4]]).det == 0
+    assert _Bareiss([[0, 0], [0, 0]]).det == 0
+    assert _Bareiss([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).det == 0
+    with pytest.raises(ValueError):
+        _Bareiss([[1], [2]]).det
+
+
+def test_kernel_matches_leibniz_and_round_trips():
+    rng = random.Random(7)
+    for size in (1, 2, 3, 4, 5):
+        for _ in range(40):
+            rows = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+            elim = _Bareiss(rows)
+            assert elim.det == _leibniz_det(rows), rows
+            if elim.det:
+                x = [rng.randint(-9, 9) for _ in range(size)]
+                rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+                assert elim.solve(rhs) == x
