@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,7 +126,14 @@ def _write_report(config: RunConfig, results: list[dict], ok: bool) -> Path:
         "results": results,
     }
     path = Path(config.output or "report.json")
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    # write a sibling file, then rename it over the report, so a failed
+    # write never leaves a truncated report behind
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
@@ -310,6 +318,8 @@ def main(argv: list[str] | None = None) -> int:
         list_survivors=args.list_survivors,
     )
     try:
+        if config.workers < 1:
+            raise ValueError(f"need at least 1 worker, got {config.workers}")
         results, ok = _DISPATCH[config.command](config)
     except (ValueError, CaseInapplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)

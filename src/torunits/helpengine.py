@@ -411,18 +411,23 @@ def enumerate_patterns(n: int, d: int) -> Iterator[EigenPattern]:
 # -- deviation vectors ---------------------------------------------------
 
 
-def _class_sum(n: int, classes) -> list[int]:
-    """Closed-form coordinates of the sum of real_trace(n, x) over the classes x."""
-    table = trace_coordinates(n)
-    acc = [0] * len(basis_indices(n))
+def _class_sum(rows, classes, start=()) -> dict[int, int]:
+    """Sparse sum of the closed-formula rows of the classes, added to `start`.
+
+    rows is a trace_coordinates table; the result maps a basis position
+    to its summed coordinate and holds only positions some row touches
+    (a value may still cancel to 0).
+    """
+    acc = dict(start)
     for x in classes:
-        for k, v in enumerate(table[x]):
-            acc[k] += v
+        for k, v in rows[x]:
+            acc[k] = acc.get(k, 0) + v
     return acc
 
 
-def _identity_vector(n: int, d: int) -> tuple[int, ...]:
-    return tuple(_class_sum(n, (class_rep(n, i) for i in range(1, d + 1))))
+def _identity_sum(n: int, d: int) -> dict[int, int]:
+    """Sparse coordinates of g's character data: the rows of classes 1..d."""
+    return _class_sum(trace_coordinates(n), (class_rep(n, i) for i in range(1, d + 1)))
 
 
 def deviation_vector(pattern: EigenPattern) -> tuple[int, ...]:
@@ -432,8 +437,13 @@ def deviation_vector(pattern: EigenPattern) -> tuple[int, ...]:
     (character value at the candidate) - (character value at g), by the closed
     coefficient formula.
     """
-    ident = _identity_vector(pattern.n, pattern.d)
-    return tuple(a - b for a, b in zip(_class_sum(pattern.n, pattern.classes), ident))
+    n = pattern.n
+    vec = [0] * len(basis_indices(n))
+    for k, v in _class_sum(trace_coordinates(n), pattern.classes).items():
+        vec[k] += v
+    for k, v in _identity_sum(n, pattern.d).items():
+        vec[k] -= v
+    return tuple(vec)
 
 
 def deviation(pattern: EigenPattern, b: int) -> int:
@@ -531,27 +541,30 @@ class CaseCertificate:
 
 
 def _classify_chunk(args) -> list[tuple]:
-    """Worker body: classify a chunk of patterns; pure and order-preserving."""
-    chunk, table, ident, d, cap = args
+    """Worker body: classify a chunk of patterns; pure and order-preserving.
+
+    Each deviation is summed sparsely from the negated identity, so only
+    the basis positions some row touches are visited; every other
+    coordinate is 0, which moves neither the maximum nor any test.
+    """
+    chunk, rows, neg_ident, d, cap = args
     out = []
     for classes in chunk:
-        acc = list(ident)
-        for x in classes:
-            row = table[x]
-            for k in range(len(acc)):
-                acc[k] = acc[k] + row[k]
-        max_abs = max(abs(v) for v in acc) if acc else 0
+        acc = _class_sum(rows, classes, neg_ident)
+        max_abs = max(map(abs, acc.values()), default=0)
         bound = cap + 1 if 0 in classes else cap
         if max_abs > bound:
             out.append(("bound_violation", classes, max_abs, bound))
             continue
-        if not any(acc):
+        if not max_abs:
             out.append(("zero", classes, max_abs, None))
-        elif all(v % d == 0 for v in acc):
+            continue
+        failing = [k for k, v in acc.items() if v % d]
+        if not failing:
             out.append(("survivor", classes, max_abs, None))
         else:
-            witness = next((k, v) for k, v in enumerate(acc) if v % d)
-            out.append(("divisibility", classes, max_abs, witness))
+            k = min(failing)
+            out.append(("divisibility", classes, max_abs, (k, acc[k])))
     return out
 
 
@@ -581,9 +594,8 @@ def check_case(n: int, d: int, workers: int = 1) -> CaseCertificate:
             raise CaseInapplicableError(f"divisor {d} of {n} excluded a priori: {dropped[d]}")
         raise CaseInapplicableError(f"{d} is not a candidate divisor of {n}")
 
-    basis, table = basis_indices(n), trace_coordinates(n)
-    ident = _identity_vector(n, d)
-    neg_ident = tuple(-v for v in ident)
+    basis, rows = basis_indices(n), trace_coordinates(n)
+    neg_ident = tuple((k, -v) for k, v in _identity_sum(n, d).items())
     cap = 2 ** (prime_count(d) + 2)
     patterns = [p.classes for p in enumerate_patterns(n, d)]
 
@@ -600,11 +612,11 @@ def check_case(n: int, d: int, workers: int = 1) -> CaseCertificate:
     if workers > 1 and patterns:
         size = -(-len(patterns) // workers)
         chunks = [patterns[i : i + size] for i in range(0, len(patterns), size)]
-        payload = [(chunk, table, neg_ident, d, cap) for chunk in chunks]
+        payload = [(chunk, rows, neg_ident, d, cap) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [row for rows in pool.map(_classify_chunk, payload) for row in rows]
+            results = [row for part in pool.map(_classify_chunk, payload) for row in part]
     else:
-        results = _classify_chunk((patterns, table, neg_ident, d, cap))
+        results = _classify_chunk((patterns, rows, neg_ident, d, cap))
 
     smallest = prime_divisors(n)[0]
     for kind, classes, max_abs, extra in results:

@@ -9,10 +9,13 @@ closed form:
     coeff of b in real_trace(n, i)
         = pair_weight(n, i) * moebius(g) * [b ~ i mod n/g],   g = near_zero_part(n, i)
 
-This module holds the closed formula, as one coordinate row per sign
-class (trace_coordinates), and a general decomposition routine that
-solves the exact linear system in the power basis of Z[zeta_n] (used
-as an independent oracle for the formula).  It also provides the
+This module holds the only copy of the closed formula: one sparse
+coordinate row per sign class (trace_coordinates), listing the
+(basis position, value) pairs where the coordinate is nonzero.  A row
+is built by stepping through the b ~ x mod n/g, about g steps rather
+than one test per basis index.  Beside it sits a general decomposition routine that solves
+the exact linear system in the power basis of Z[zeta_n] (used as an
+independent oracle for the formula).  It also provides the
 inverse recomposition and the change-of-basis determinant against the
 power basis of the real subring.
 
@@ -36,7 +39,6 @@ from torunits.numtheory import (
     moebius,
     near_zero_part,
     pair_weight,
-    same_class,
 )
 
 
@@ -53,19 +55,31 @@ def basis_indices(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def trace_coordinates(n: int) -> dict[int, tuple[int, ...]]:
-    """Closed-form coordinates of real_trace(n, x) for every class x.
+def trace_coordinates(n: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Closed-form coordinates of real_trace(n, x) for every class x, as sparse rows.
 
-    The row of x holds, in basis_indices(n) order, the coordinate at
-    each basis index b: pair_weight(n, x) * moebius(g) * [b ~ x mod n/g]
-    with g = near_zero_part(n, x).  The dict is shared; do not mutate it.
+    The row of x lists, in ascending order of the position k of b in
+    basis_indices(n), the pairs (k, value) with a nonzero coordinate
+    value = pair_weight(n, x) * moebius(g) at the basis indices
+    b ~ x mod n/g, g = near_zero_part(n, x); every other coordinate is 0.
+    g is squarefree, so the value is never 0.  The rows are found by
+    stepping through the two progressions b = +-x mod n/g in [1, n/2].
+    The dict is shared; do not mutate it.
     """
-    basis = basis_indices(n)
+    position = {b: k for k, b in enumerate(basis_indices(n))}
+    half = n // 2
     rows = {}
     for x in class_reps(n):
         g = near_zero_part(n, x)
-        coeff = pair_weight(n, x) * moebius(g)
-        rows[x] = tuple(coeff if same_class(n // g, b, x) else 0 for b in basis)
+        m = n // g
+        value = pair_weight(n, x) * moebius(g)
+        hits = set()
+        for start in {x % m, -x % m}:
+            for b in range(start, half + 1, m):
+                k = position.get(b)
+                if k is not None:
+                    hits.add(k)
+        rows[x] = tuple((k, value) for k in sorted(hits))
     return rows
 
 
@@ -74,7 +88,8 @@ def basis_coeff(n: int, b: int, i: int) -> int:
     basis = basis_indices(n)
     if b not in basis:
         raise ValueError(f"{b} is not a basis index for n={n}")
-    return trace_coordinates(n)[class_rep(n, i)][basis.index(b)]
+    k = basis.index(b)
+    return next((v for j, v in trace_coordinates(n)[class_rep(n, i)] if j == k), 0)
 
 
 @dataclass(frozen=True)
@@ -100,7 +115,7 @@ def decompose_combination(n: int, terms: Mapping[int, int]) -> RealCoords:
     rows = trace_coordinates(n)
     acc = [0] * len(basis)
     for i, c in terms.items():
-        for k, v in enumerate(rows[class_rep(n, i)]):
+        for k, v in rows[class_rep(n, i)]:
             acc[k] += c * v
     return RealCoords(n, dict(zip(basis, acc)))
 

@@ -157,6 +157,11 @@ def test_workers_below_one_is_invalid(workers, tmp_path, capsys):
     assert code == 2
     assert not out.exists()
     assert "at least 1 worker" in capsys.readouterr().err
+    # q = 7 has no admissible order, so no case would ever check the count
+    code = main(["verify", "--q", "7", "--workers", workers, "--output", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "at least 1 worker" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [InvariantViolationError, DecompositionError])
@@ -172,3 +177,38 @@ def test_internal_error_has_its_own_exit_code(error, monkeypatch, tmp_path, caps
     assert code == 3
     assert not out.exists()
     assert capsys.readouterr().err.startswith("internal error: deviation exceeds bound")
+
+
+def test_bound_violation_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    from torunits import helpengine
+    from torunits.realbasis import trace_coordinates
+
+    # inflate the row of class 7, which the pattern (6, 7, 7) of (15, 3) uses
+    # twice and the identity classes 1, 2, 3 do not use
+    rows = {**trace_coordinates(15), 7: ((0, 100),)}
+    monkeypatch.setattr(helpengine, "trace_coordinates", lambda n: rows)
+    with pytest.raises(InvariantViolationError, match="exceeds bound"):
+        helpengine.check_case(15, 3)
+    out = tmp_path / "x.json"
+    code = main(["case", "--n", "15", "--d", "3", "--output", str(out)])
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("internal error: deviation")
+
+
+def test_failed_report_write_leaves_no_partial_file(monkeypatch, tmp_path):
+    from pathlib import Path
+
+    out = tmp_path / "report.json"
+    out.write_text("previous report\n")
+    write_text = Path.write_text
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="No space left"):
+        main(["case", "--n", "15", "--d", "3", "--output", str(out)])
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert out.read_text() == "previous report\n"

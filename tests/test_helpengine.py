@@ -7,6 +7,7 @@ from torunits.helpengine import (
     AugVector,
     CaseInapplicableError,
     EigenPattern,
+    NearMiss,
     augmentations_from_traces,
     bound_check,
     bound_filtered_divisors,
@@ -270,6 +271,30 @@ def test_check_case_45_15_has_no_near_misses():
     assert all(
         max(abs(v) for v in deviation_vector(p)) <= 14 for p in enumerate_patterns(45, 15)
     )
+
+
+def test_check_case_matches_deviation_vector_oracle():
+    # the sparse classifier against dense deviation vectors, pattern by pattern
+    for n, d in ((15, 3), (21, 7), (35, 7), (45, 15), (75, 3)):
+        cert = check_case(n, d)
+        basis = basis_indices(n)
+        stats = dict.fromkeys(cert.pruning_stats, 0)
+        near = []
+        for p in enumerate_patterns(n, d):
+            dev = deviation_vector(p)
+            max_abs = max(abs(v) for v in dev)
+            if max_abs == 0:
+                stats["deviation_zero"] += 1
+            elif all(v % d == 0 for v in dev):
+                stats["survivors"] += 1
+            else:
+                stats["divisibility_failures"] += 1
+                if max_abs >= d:
+                    stats["near_misses"] += 1
+                    k = next(k for k, v in enumerate(dev) if v % d)
+                    near.append(NearMiss(p.classes, max_abs, basis[k], dev[k]))
+        assert dict(cert.pruning_stats) == stats, (n, d)
+        assert cert.near_misses == tuple(near), (n, d)
 
 
 def test_check_case_rejects_inapplicable():

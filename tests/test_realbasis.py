@@ -4,7 +4,15 @@ from itertools import permutations
 import pytest
 
 from torunits.cyclotomic import CycInt, real_trace
-from torunits.numtheory import basis_exponents, euler_phi, moebius, near_zero_part
+from torunits.numtheory import (
+    basis_exponents,
+    class_reps,
+    euler_phi,
+    moebius,
+    near_zero_part,
+    pair_weight,
+    same_class,
+)
 from torunits.realbasis import (
     DecompositionError,
     RealCoords,
@@ -15,6 +23,7 @@ from torunits.realbasis import (
     decompose,
     decompose_combination,
     recompose,
+    trace_coordinates,
 )
 
 
@@ -40,6 +49,20 @@ def test_basis_coeff_examples():
     for b in basis_indices(45):
         want = -1 if b % 9 in (4, 5) else 0
         assert basis_coeff(45, b, 5) == want
+
+
+def test_sparse_rows_match_a_dense_scan():
+    # the closed formula tested at every basis index, against the rows
+    # built by stepping through b = +-x mod n/g
+    for n in range(3, 400, 2):
+        basis = basis_indices(n)
+        rows = trace_coordinates(n)
+        assert sorted(rows) == list(class_reps(n))
+        for x in class_reps(n):
+            g = near_zero_part(n, x)
+            value = pair_weight(n, x) * moebius(g)
+            dense = [(k, value) for k, b in enumerate(basis) if same_class(n // g, b, x)]
+            assert rows[x] == tuple(dense), (n, x)
 
 
 def test_basis_coeff_rejects_non_basis_index():
