@@ -2,9 +2,10 @@
 
 Every subcommand prints a short human summary to stdout and writes a
 machine-readable JSON report.  Reports are byte-stable: they contain
-the run parameters (seed included, worker count and output path
-excluded) and the results in canonical order, so identical inputs give
-identical bytes no matter how the work was partitioned.
+the run parameters (seed included, output path excluded) and the
+results in canonical order, so identical inputs give identical bytes.
+The verifier runs in one process; `--workers` is still accepted and
+must be at least 1, but it has no effect.
 
 Exit codes: 0 when every check passed / every case was eliminated,
 1 when a survivor or a property violation was found, 2 on invalid
@@ -58,12 +59,11 @@ class RunConfig:
     m: int | None = None
     input: str | None = None
     output: str | None = None
-    workers: int = 1
     seed: int = 0
     list_survivors: bool = False
 
     def report_parameters(self) -> dict:
-        # worker count and output location never influence report content
+        # the output location never influences report content
         params: dict[str, Any] = {}
         for key in ("q", "n", "d", "p", "m", "input"):
             value = getattr(self, key)
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", help="instance file")
         sp.add_argument("--output", help="report file (default: report.json)")
         sp.add_argument(
-            "--workers", type=int, default=1, help="parallel workers (>= 1, capped at CPU count)"
+            "--workers", type=int, default=1, help="no effect: runs in one process (>= 1)"
         )
         sp.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
         sp.add_argument(
@@ -147,7 +147,7 @@ def _cmd_verify(config: RunConfig) -> tuple[list[dict], bool]:
     results = []
     ok = True
     for n in orders:
-        verdict = verify_order(n, q=config.q, workers=config.workers)
+        verdict = verify_order(n, q=config.q)
         results.append(verdict.to_json_dict())
         ok = ok and verdict.conclusion == "verified"
         print(f"order n={n}" + (f" (q={config.q})" if config.q else "") + f": {verdict.conclusion}")
@@ -163,7 +163,7 @@ def _cmd_verify(config: RunConfig) -> tuple[list[dict], bool]:
 
 def _cmd_case(config: RunConfig) -> tuple[list[dict], bool]:
     _require(config, "n", "d")
-    cert = check_case(config.n, config.d, workers=config.workers)
+    cert = check_case(config.n, config.d)
     print(
         f"case n={config.n} d={config.d}: {cert.verdict} "
         f"({cert.tuples_examined} patterns, {cert.pruning_stats['near_misses']} near misses, "
@@ -313,13 +313,12 @@ def main(argv: list[str] | None = None) -> int:
         m=args.m,
         input=args.input,
         output=args.output,
-        workers=args.workers,
         seed=args.seed,
         list_survivors=args.list_survivors,
     )
     try:
-        if config.workers < 1:
-            raise ValueError(f"need at least 1 worker, got {config.workers}")
+        if args.workers < 1:
+            raise ValueError(f"need at least 1 worker, got {args.workers}")
         results, ok = _DISPATCH[config.command](config)
     except (ValueError, CaseInapplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,16 +26,15 @@ only "eliminated" carries mathematical weight.
 
 The enumeration is a backtracking search over non-decreasing class
 tuples constrained by per-prime residue multisets (the constraints for
-prime c imply those for composite c); its output order is canonical, so
-certificates are byte-stable regardless of worker count.
+prime c imply those for composite c); its output order is canonical and
+the engine runs in one process, so certificates are byte-stable.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import gcd
 from typing import Iterator, Mapping, Sequence
 
@@ -344,15 +343,12 @@ def enumerate_patterns(n: int, d: int) -> Iterator[EigenPattern]:
     for x in class_reps(n):
         cells.setdefault(tuple(class_rep(m, x) for m in moduli), []).append(x)
     cell_list = sorted(cells)
-    # residue classes still reachable from cell i onward, per modulus
-    cover_from = []
-    tail = [set() for _ in range(nmod)]
-    for proj in reversed(cell_list):
+    # last[mi][y]: index of the last cell whose projection at modulus mi
+    # is y, so y is still reachable from cell i iff last[mi][y] >= i
+    last: list[dict[int, int]] = [{} for _ in range(nmod)]
+    for i, proj in enumerate(cell_list):
         for mi, y in enumerate(proj):
-            tail[mi] = tail[mi] | {y}
-        cover_from.append([frozenset(s) for s in tail])
-    cover_from.reverse()
-    cover_from.append([frozenset() for _ in range(nmod)])
+            last[mi][y] = i
 
     assignments: list[list[tuple[tuple[int, ...], int]]] = []
     picked: list[tuple[tuple[int, ...], int]] = []
@@ -363,18 +359,16 @@ def enumerate_patterns(n: int, d: int) -> Iterator[EigenPattern]:
             return
         if i == len(cell_list):
             return
-        cover = cover_from[i]
         for mi, counter in enumerate(counters):
             for y, c in counter.items():
-                if c and y not in cover[mi]:
+                if c and last[mi].get(y, -1) < i:
                     return
         proj = cell_list[i]
         high = min(counters[mi].get(y, 0) for mi, y in enumerate(proj))
-        later = cover_from[i + 1]
         low = 0
         for mi, y in enumerate(proj):
             need = counters[mi].get(y, 0)
-            if need and y not in later[mi]:
+            if need and last[mi][y] == i:
                 low = max(low, need)
         if low > min(high, remaining):
             return
@@ -390,8 +384,6 @@ def enumerate_patterns(n: int, d: int) -> Iterator[EigenPattern]:
                     counters[mi][y] += c
 
     walk(0, d)
-
-    from itertools import combinations_with_replacement, product
 
     patterns: list[tuple[int, ...]] = []
     for assignment in assignments:
@@ -540,50 +532,14 @@ class CaseCertificate:
         }
 
 
-def _classify_chunk(args) -> list[tuple]:
-    """Worker body: classify a chunk of patterns; pure and order-preserving.
-
-    Each deviation is summed sparsely from the negated identity, so only
-    the basis positions some row touches are visited; every other
-    coordinate is 0, which moves neither the maximum nor any test.
-    """
-    chunk, rows, neg_ident, d, cap = args
-    out = []
-    for classes in chunk:
-        acc = _class_sum(rows, classes, neg_ident)
-        max_abs = max(map(abs, acc.values()), default=0)
-        bound = cap + 1 if 0 in classes else cap
-        if max_abs > bound:
-            out.append(("bound_violation", classes, max_abs, bound))
-            continue
-        if not max_abs:
-            out.append(("zero", classes, max_abs, None))
-            continue
-        failing = [k for k, v in acc.items() if v % d]
-        if not failing:
-            out.append(("survivor", classes, max_abs, None))
-        else:
-            k = min(failing)
-            out.append(("divisibility", classes, max_abs, (k, acc[k])))
-    return out
-
-
-def _pool_size(workers: int) -> int:
-    """The number of worker processes to start for a requested count."""
-    if workers < 1:
-        raise ValueError(f"need at least 1 worker, got {workers}")
-    return min(workers, os.cpu_count() or 1)
-
-
-def check_case(n: int, d: int, workers: int = 1) -> CaseCertificate:
+def check_case(n: int, d: int) -> CaseCertificate:
     """Examine every admissible pattern for (n, d) and certify the outcome.
 
     A pattern survives iff its deviation vector is nonzero and divisible
     by d at every basis index; "eliminated" means no pattern survives.
-    The certificate is deterministic and identical for any worker count;
-    the count must be at least 1 and is capped at the machine's CPU count.
+    The patterns are classified one after another in this process, so
+    the certificate is deterministic.
     """
-    workers = _pool_size(workers)
     cands = candidate_divisors(n)
     if not cands.applicable:
         raise CaseInapplicableError(f"order {n} not applicable: {cands.reason}")
@@ -609,35 +565,34 @@ def check_case(n: int, d: int, workers: int = 1) -> CaseCertificate:
     survivors: list[tuple[int, ...]] = []
     near: list[NearMiss] = []
 
-    if workers > 1 and patterns:
-        size = -(-len(patterns) // workers)
-        chunks = [patterns[i : i + size] for i in range(0, len(patterns), size)]
-        payload = [(chunk, rows, neg_ident, d, cap) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [row for part in pool.map(_classify_chunk, payload) for row in part]
-    else:
-        results = _classify_chunk((patterns, rows, neg_ident, d, cap))
-
     smallest = prime_divisors(n)[0]
-    for kind, classes, max_abs, extra in results:
+    # each deviation is summed sparsely from the negated identity, so only
+    # the basis positions some row touches are visited; every other
+    # coordinate is 0, which moves neither the maximum nor any test
+    for classes in patterns:
         zeros = sum(1 for x in classes if x == 0)
         if zeros > 1 or (zeros == 1 and n // d != smallest):
             stats["weight_filter_failures"] += 1
-        if kind == "bound_violation":
+        acc = _class_sum(rows, classes, neg_ident)
+        max_abs = max(map(abs, acc.values()), default=0)
+        bound = cap + 1 if zeros else cap
+        if max_abs > bound:
             raise InvariantViolationError(
-                f"deviation {max_abs} exceeds bound {extra} on pattern {classes} at (n={n}, d={d})"
+                f"deviation {max_abs} exceeds bound {bound} on pattern {classes} at (n={n}, d={d})"
             )
-        if kind == "zero":
+        if not max_abs:
             stats["deviation_zero"] += 1
-        elif kind == "survivor":
+            continue
+        failing = [k for k, v in acc.items() if v % d]
+        if not failing:
             stats["survivors"] += 1
             survivors.append(classes)
         else:
             stats["divisibility_failures"] += 1
             if max_abs >= d:
                 stats["near_misses"] += 1
-                k, v = extra
-                near.append(NearMiss(classes, max_abs, basis[k], v))
+                k = min(failing)
+                near.append(NearMiss(classes, max_abs, basis[k], acc[k]))
     if stats["weight_filter_failures"]:
         raise InvariantViolationError(
             f"enumeration emitted a pattern violating the class-0 slot rule at (n={n}, d={d})"
@@ -757,17 +712,17 @@ class OrderVerdict:
         }
 
 
-def verify_order(n: int, q: int | None = None, workers: int = 1) -> OrderVerdict:
+def verify_order(n: int, q: int | None = None) -> OrderVerdict:
     """Decide rational conjugacy for all normalized units of order n.
 
     For composite odd n every candidate divisor is examined with
-    check_case; "verified" means each one was eliminated, which forces
-    the full trace identity of a group generator and hence rational
-    conjugacy.  Prime-power orders (and orders that are not element
-    orders of the given group) are verified by prior results taken as
-    given and carry an explanatory note instead of case certificates.
+    check_case, one case after another in this process; "verified" means
+    each one was eliminated, which forces the full trace identity of a
+    group generator and hence rational conjugacy.  Prime-power orders
+    (and orders that are not element orders of the given group) are
+    verified by prior results taken as given and carry an explanatory
+    note instead of case certificates.
     """
-    workers = _pool_size(workers)
     if n < 1 or n % 2 == 0:
         raise ValueError(f"order must be odd and positive, got {n}")
     notes: list[str] = []
@@ -791,7 +746,7 @@ def verify_order(n: int, q: int | None = None, workers: int = 1) -> OrderVerdict
         return OrderVerdict(n, q, "verified", (), (), tuple(notes))
 
     cands = candidate_divisors(n)
-    cases = tuple(check_case(n, c.d, workers=workers) for c in cands.retained)
+    cases = tuple(check_case(n, c.d) for c in cands.retained)
     verified = all(c.verdict == "eliminated" for c in cases)
     if verified:
         notes.append(

@@ -121,11 +121,12 @@ def test_explore_eps_command(tmp_path):
 
 
 def test_workers_flag_changes_nothing(tmp_path):
-    code1, p1 = run_cli(["case", "--n", "45", "--d", "15", "--workers", "1"], tmp_path, "w1.json")
-    code4, p4 = run_cli(["case", "--n", "45", "--d", "15", "--workers", "4"], tmp_path, "w4.json")
-    assert code1 == code4 == 0
-    assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w4.json").read_bytes()
-    assert "workers" not in json.dumps(p1)
+    for argv in (["case", "--n", "45", "--d", "15"], ["verify", "--q", "31"]):
+        code1, p1 = run_cli(argv + ["--workers", "1"], tmp_path, "w1.json")
+        code4, p4 = run_cli(argv + ["--workers", "4"], tmp_path, "w4.json")
+        assert code1 == code4 == 0
+        assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w4.json").read_bytes()
+        assert "workers" not in json.dumps(p1)
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,8 @@ from torunits.helpengine import (
 from torunits.numtheory import class_rep, class_reps, prime_divisors
 from torunits.psl2 import character_value
 from torunits.realbasis import basis_indices, decompose
+
+DATA = Path(__file__).parent / "data"
 
 
 def random_aug_vector(n, rng, spread=3):
@@ -306,13 +311,6 @@ def test_check_case_rejects_inapplicable():
         check_case(45, 2)
 
 
-def test_check_case_workers_do_not_change_certificate():
-    a = check_case(15, 5, workers=1)
-    b = check_case(15, 5, workers=4)
-    assert a == b
-    assert a.to_json_dict() == b.to_json_dict()
-
-
 def test_verify_order_examples():
     for q, n in ((16, 15), (31, 15), (127, 21)):
         verdict = verify_order(n, q=q)
@@ -324,15 +322,19 @@ def test_verify_order_examples():
 
 def test_verify_order_every_small_composite_order():
     # the engine eliminates every case for every odd composite order in range,
-    # not just the hand-checked ones
+    # not just the hand-checked ones, and each certificate is byte-identical to
+    # the one recorded in tests/data/order_certificates.json
     from torunits.psl2 import is_prime_power
 
+    digests = json.loads((DATA / "order_certificates.json").read_text())
     for n in range(9, 106, 2):
         if is_prime_power(n):
             continue
         verdict = verify_order(n)
         assert verdict.conclusion == "verified", n
         assert verdict.cases, n
+        blob = json.dumps(verdict.to_json_dict(), indent=2).encode()
+        assert hashlib.sha256(blob).hexdigest() == digests[str(n)], n
 
 
 def test_verify_order_prime_power_and_trivial():
@@ -364,45 +366,3 @@ def test_explore_augmentations_n15():
         assert v == 1
         # every solution is a generator class whose powers match g's powers
         assert all(class_rep(15, x * c) == class_rep(15, c) for c in (3, 5))
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
-
-    requested: list[int] = []
-
-    def __init__(self, max_workers):
-        _RecordingPool.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_check_case_rejects_worker_count_below_one():
-    for workers in (0, -1, -8):
-        with pytest.raises(ValueError, match="at least 1 worker"):
-            check_case(15, 3, workers=workers)
-        with pytest.raises(ValueError, match="at least 1 worker"):
-            verify_order(15, workers=workers)
-
-
-def test_check_case_caps_workers_at_cpu_count(monkeypatch):
-    from torunits import helpengine
-
-    monkeypatch.setattr(helpengine, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(helpengine.os, "cpu_count", lambda: 3)
-    _RecordingPool.requested = []
-    serial = check_case(15, 5, workers=1)
-    assert _RecordingPool.requested == []
-    assert check_case(15, 5, workers=10_000) == serial
-    assert check_case(15, 5, workers=2) == serial
-    assert _RecordingPool.requested == [3, 2]
-    monkeypatch.setattr(helpengine.os, "cpu_count", lambda: None)
-    assert check_case(15, 5, workers=10_000) == serial
-    assert _RecordingPool.requested == [3, 2]  # unknown CPU count: run serially
