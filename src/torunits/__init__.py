@@ -13,7 +13,6 @@ from torunits.cyclotomic import CycInt, IntPoly, cyclotomic_poly, eval_at_root, 
 from torunits.helpengine import (
     AugVector,
     CaseCertificate,
-    EigenPattern,
     OrderVerdict,
     check_case,
     verify_order,
@@ -26,7 +25,6 @@ __all__ = [
     "AugVector",
     "CaseCertificate",
     "CycInt",
-    "EigenPattern",
     "GroupProfile",
     "IntPoly",
     "OrderVerdict",

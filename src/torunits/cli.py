@@ -9,8 +9,8 @@ must be at least 1, but it has no effect.
 
 Exit codes: 0 when every check passed / every case was eliminated,
 1 when a survivor or a property violation was found, 2 on invalid
-input, 3 on an internal error (a failed invariant or exact solve; no
-report is written).
+input or a report that cannot be written, 3 on an internal error (a
+failed invariant or exact solve; no report is written).
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _require(config: RunConfig, *names: str) -> None:
         raise ValueError(f"{config.command} requires {', '.join(missing)}")
 
 
-def _write_report(config: RunConfig, results: list[dict], ok: bool) -> Path:
+def _write_report(path: Path, config: RunConfig, results: list[dict], ok: bool) -> None:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -125,16 +125,14 @@ def _write_report(config: RunConfig, results: list[dict], ok: bool) -> Path:
         "ok": ok,
         "results": results,
     }
-    path = Path(config.output or "report.json")
     # write a sibling file, then rename it over the report, so a failed
     # write never leaves a truncated report behind
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    return path
 
 
 def _cmd_verify(config: RunConfig) -> tuple[list[dict], bool]:
@@ -326,7 +324,12 @@ def main(argv: list[str] | None = None) -> int:
     except (InvariantViolationError, DecompositionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    path = _write_report(config, results, ok)
+    path = Path(config.output or "report.json")
+    try:
+        _write_report(path, config, results, ok)
+    except OSError as exc:
+        print(f"error: cannot write report {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(f"report written to {path}")
     return 0 if ok else 1
 

@@ -16,7 +16,6 @@ polynomials are obtained by exact division, never numerically.
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
@@ -203,13 +202,6 @@ class CycInt:
         coeffs[e % n] = 1
         return CycInt(n, coeffs)
 
-    @staticmethod
-    def from_exponents(n: int, terms: dict[int, int]) -> "CycInt":
-        coeffs = [0] * n
-        for e, c in terms.items():
-            coeffs[e % n] += c
-        return CycInt(n, coeffs)
-
     # -- views -------------------------------------------------------
 
     @property
@@ -301,12 +293,6 @@ class CycInt:
         if k < 1:
             raise ValueError(f"need k >= 1, got {k}")
         return all(c % k == 0 for c in self.reduced)
-
-    def complex_value(self, from_reduced: bool = False) -> complex:
-        """Numeric embedding at exp(2*pi*i/n); for cross-checks only."""
-        w = 2j * cmath.pi / self.n
-        src = self.reduced if from_reduced else self._coeffs
-        return sum(c * cmath.exp(w * j) for j, c in enumerate(src) if c)
 
 
 def eval_at_root(f: IntPoly, n: int) -> CycInt:

@@ -120,22 +120,12 @@ def check_vanishing_real(n: int, B: Mapping[int, int], d: int) -> VanishingVerdi
     Same hypotheses as check_vanishing; the conclusion is that every
     distinguished-basis coordinate of w(d) is divisible by d.
     """
-    _check_class_data(n, B)
     if n % 2 == 0 or n < 3:
         raise ValueError(f"need an odd modulus >= 3, got {n}")
-    if d < 1 or n % d:
-        raise ValueError(f"{d} does not divide {n}")
-
-    def value(i: int) -> CycInt:
-        out = [0] * n
-        for x, c in B.items():
-            if c:
-                out[(i * x) % n] += c
-                out[(-i * x) % n] += c
-        return CycInt(n, out)
-
-    hyp = all(value(d // q).is_zero() for q in prime_power_divisors(d))
-    coords = decompose(value(d))
+    # fold_class_vector checks the keys of B, PowerSums that d divides n
+    inst = PowerSums(n, fold_class_vector(n, B), d)
+    hyp = all(inst.value(d // q).is_zero() for q in prime_power_divisors(d))
+    coords = decompose(inst.value(d))
     concl = all(v % d == 0 for v in coords.coords.values())
     return VanishingVerdict(hyp, concl)
 

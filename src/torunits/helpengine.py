@@ -1,5 +1,12 @@
 """Case-analysis engine for torsion units of odd composite order n.
 
+This module is the verification path, candidate_divisors ->
+enumerate_patterns -> check_case -> verify_order, together with the
+augmentation-vector tools it is stated in terms of.  Patterns travel
+as bare sorted class tuples; the independent cross-check oracles
+(EigenPattern, dense deviation vectors, the bound and weight checks)
+live in torunits.oracles, which this module does not import.
+
 Setting: u is a normalized torsion unit of order n (odd, coprime to the
 group characteristic, not a prime power) in the integral group ring of
 PSL(2,q), g is a group element of order n with the same image under the
@@ -27,7 +34,9 @@ only "eliminated" carries mathematical weight.
 The enumeration is a backtracking search over non-decreasing class
 tuples constrained by per-prime residue multisets (the constraints for
 prime c imply those for composite c); its output order is canonical and
-the engine runs in one process, so certificates are byte-stable.
+the engine runs in one process, so certificates are byte-stable.  Each
+deviation is a sparse sum of the closed-formula rows of
+realbasis.trace_coordinates over the positions those rows touch.
 """
 
 from __future__ import annotations
@@ -219,17 +228,6 @@ def eigenvalue_multiplicity(
 # -- candidate divisors --------------------------------------------------
 
 
-def bound_filtered_divisors(limit: int) -> tuple[int, ...]:
-    """Odd d in [3, limit] with d <= 1 + 2^(#primes(d) + 2).
-
-    The deviation-vector bound makes every other divisor impossible a
-    priori; over any practical range the surviving set is {3,5,7,9,15}.
-    """
-    return tuple(
-        d for d in range(3, limit + 1, 2) if d <= 1 + 2 ** (prime_count(d) + 2)
-    )
-
-
 @dataclass(frozen=True)
 class Candidate:
     d: int
@@ -284,41 +282,11 @@ def candidate_divisors(n: int) -> CandidateDivisors:
 # -- eigenvalue patterns -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenPattern:
-    """Candidate eigenvalue-exponent classes (v_1, ..., v_d), sorted ascending.
-
-    The deviation formula and all constraints depend on the classes only
-    as a multiset, so patterns are canonicalized to non-decreasing order
-    and normalized into [0, n/2].
-    """
-
-    n: int
-    d: int
-    classes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(sorted(self.classes)))
-        if len(self.classes) != self.d:
-            raise ValueError(f"expected {self.d} classes, got {len(self.classes)}")
-
-
-def satisfies_power_constraints(pattern: EigenPattern) -> bool:
-    """Full divisor-family check of the multiset constraints (for cross-tests)."""
-    n, d = pattern.n, pattern.d
-    for c in divisors(n):
-        if c == 1:
-            continue
-        m = n // c
-        want = sorted(class_rep(m, i) for i in range(1, d + 1))
-        got = sorted(class_rep(m, v) for v in pattern.classes)
-        if want != got:
-            return False
-    return True
-
-
-def enumerate_patterns(n: int, d: int) -> Iterator[EigenPattern]:
+def enumerate_patterns(n: int, d: int) -> Iterator[tuple[int, ...]]:
     """All admissible patterns for the case (n, d), in lexicographic order.
+
+    Each pattern is a tuple of d class representatives in [0, n/2], in
+    non-decreasing order (the canonical form of its multiset).
 
     The constraints for prime divisors c = p (classes modulo n/p, the
     most restrictive moduli) imply those for composite c, so one residue
@@ -396,92 +364,7 @@ def enumerate_patterns(n: int, d: int) -> Iterator[EigenPattern]:
                 flat.extend(group)
             patterns.append(tuple(sorted(flat)))
     patterns.sort()
-    for classes in patterns:
-        yield EigenPattern(n, d, classes)
-
-
-# -- deviation vectors ---------------------------------------------------
-
-
-def _class_sum(rows, classes, start=()) -> dict[int, int]:
-    """Sparse sum of the closed-formula rows of the classes, added to `start`.
-
-    rows is a trace_coordinates table; the result maps a basis position
-    to its summed coordinate and holds only positions some row touches
-    (a value may still cancel to 0).
-    """
-    acc = dict(start)
-    for x in classes:
-        for k, v in rows[x]:
-            acc[k] = acc.get(k, 0) + v
-    return acc
-
-
-def _identity_sum(n: int, d: int) -> dict[int, int]:
-    """Sparse coordinates of g's character data: the rows of classes 1..d."""
-    return _class_sum(trace_coordinates(n), (class_rep(n, i) for i in range(1, d + 1)))
-
-
-def deviation_vector(pattern: EigenPattern) -> tuple[int, ...]:
-    """Coordinatewise difference between the pattern's and g's character data.
-
-    Entry k is the distinguished-basis coordinate at basis index k of
-    (character value at the candidate) - (character value at g), by the closed
-    coefficient formula.
-    """
-    n = pattern.n
-    vec = [0] * len(basis_indices(n))
-    for k, v in _class_sum(trace_coordinates(n), pattern.classes).items():
-        vec[k] += v
-    for k, v in _identity_sum(n, pattern.d).items():
-        vec[k] -= v
-    return tuple(vec)
-
-
-def deviation(pattern: EigenPattern, b: int) -> int:
-    """Deviation coordinate at one basis index b."""
-    try:
-        k = basis_indices(pattern.n).index(b)
-    except ValueError:
-        raise ValueError(f"{b} is not a basis index for n={pattern.n}") from None
-    return deviation_vector(pattern)[k]
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    max_abs_deviation: int
-    bound: int
-
-
-def pattern_bound(pattern: EigenPattern) -> int:
-    """Applicable a-priori bound on |deviation|: 2^(P+2), plus 1 with a class-0 slot."""
-    cap = 2 ** (prime_count(pattern.d) + 2)
-    return cap + 1 if 0 in pattern.classes else cap
-
-
-def bound_check(pattern: EigenPattern) -> BoundCheck:
-    dev = deviation_vector(pattern)
-    out = BoundCheck(max(abs(v) for v in dev), pattern_bound(pattern))
-    if out.max_abs_deviation > out.bound:
-        raise InvariantViolationError(
-            f"deviation {out.max_abs_deviation} exceeds bound {out.bound} on {pattern}"
-        )
-    return out
-
-
-def weight_consistent(pattern: EigenPattern) -> bool:
-    """Redundant cross-check of the class-0 slot rule.
-
-    At most one entry may be the zero class, and only when n/d is the
-    smallest prime dividing n; the enumeration constraints already
-    imply this.
-    """
-    zeros = sum(1 for x in pattern.classes if x == 0)
-    if zeros == 0:
-        return True
-    if zeros > 1:
-        return False
-    return pattern.n // pattern.d == prime_divisors(pattern.n)[0]
+    yield from patterns
 
 
 # -- case analysis -------------------------------------------------------
@@ -551,9 +434,13 @@ def check_case(n: int, d: int) -> CaseCertificate:
         raise CaseInapplicableError(f"{d} is not a candidate divisor of {n}")
 
     basis, rows = basis_indices(n), trace_coordinates(n)
-    neg_ident = tuple((k, -v) for k, v in _identity_sum(n, d).items())
+    # g's character data, negated: the rows of the classes of 1..d
+    neg_ident: dict[int, int] = {}
+    for i in range(1, d + 1):
+        for k, v in rows[class_rep(n, i)]:
+            neg_ident[k] = neg_ident.get(k, 0) - v
     cap = 2 ** (prime_count(d) + 2)
-    patterns = [p.classes for p in enumerate_patterns(n, d)]
+    patterns = list(enumerate_patterns(n, d))
 
     stats = {
         "weight_filter_failures": 0,
@@ -573,7 +460,10 @@ def check_case(n: int, d: int) -> CaseCertificate:
         zeros = sum(1 for x in classes if x == 0)
         if zeros > 1 or (zeros == 1 and n // d != smallest):
             stats["weight_filter_failures"] += 1
-        acc = _class_sum(rows, classes, neg_ident)
+        acc = dict(neg_ident)
+        for x in classes:
+            for k, v in rows[x]:
+                acc[k] = acc.get(k, 0) + v
         max_abs = max(map(abs, acc.values()), default=0)
         bound = cap + 1 if zeros else cap
         if max_abs > bound:
@@ -768,30 +658,21 @@ def verify_order(n: int, q: int | None = None) -> OrderVerdict:
 
 __all__ = [
     "AugVector",
-    "BoundCheck",
     "Candidate",
     "CandidateDivisors",
     "CaseCertificate",
     "CaseInapplicableError",
-    "EigenPattern",
     "InvariantViolationError",
     "NearMiss",
     "OrderVerdict",
     "augmentations_from_traces",
-    "bound_check",
-    "bound_filtered_divisors",
     "candidate_divisors",
     "check_case",
     "classwise_powers",
-    "deviation",
-    "deviation_vector",
     "eigenvalue_multiplicity",
     "enumerate_patterns",
     "explore_augmentations",
     "induction_powers",
-    "pattern_bound",
-    "satisfies_power_constraints",
     "unit_trace",
     "verify_order",
-    "weight_consistent",
 ]

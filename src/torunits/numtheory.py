@@ -17,7 +17,6 @@ is a pure function of immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -116,38 +115,6 @@ def valuation(p: int, m: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """A positive integer with its factorization computed once."""
-
-    n: int
-    prime_factorization: tuple[tuple[int, int], ...]
-    radical: int
-
-    @staticmethod
-    def of(n: int) -> "Modulus":
-        return _modulus(n)
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.prime_factorization)
-
-    def prime_part(self, p: int) -> int:
-        """p^v_p(n), the p-part of n (1 when p does not divide n)."""
-        for q, e in self.prime_factorization:
-            if q == p:
-                return q**e
-        return 1
-
-
-@lru_cache(maxsize=None)
-def _modulus(n: int) -> Modulus:
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    fs = factorize(n)
-    return Modulus(n, fs, math.prod(p for p, _ in fs))
-
-
 def signed_residue(x: int, n: int) -> int:
     """The representative of x mod n in the half-open interval (-n/2, n/2]."""
     if n < 1:
@@ -165,7 +132,7 @@ def near_zero_part(n: int, x: int) -> int:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     out = 1
-    for p, e in Modulus.of(n).prime_factorization:
+    for p, e in factorize(n):
         np_ = p**e
         if 2 * p * abs(signed_residue(x, np_)) < np_:
             out *= p
@@ -209,7 +176,7 @@ def basis_exponents(n: int) -> tuple[int, ...]:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    layers = [(p, p**e) for p, e in Modulus.of(n).prime_factorization]
+    layers = [(p, p**e) for p, e in factorize(n)]
     out = []
     for x in range(n):
         if all(2 * p * abs(signed_residue(x, np_)) > np_ for p, np_ in layers):

@@ -13,11 +13,8 @@ from torunits.divisibility import check_vanishing, cyclotomic_value_divisible, r
 from torunits.helpengine import (
     AugVector,
     augmentations_from_traces,
-    bound_check,
-    bound_filtered_divisors,
     candidate_divisors,
     check_case,
-    deviation_vector,
     enumerate_patterns,
     unit_trace,
     verify_order,
@@ -29,6 +26,7 @@ from torunits.numtheory import (
     moebius,
     near_zero_part,
 )
+from torunits.oracles import EigenPattern, bound_check, bound_filtered_divisors, deviation_vector
 from torunits.psl2 import character_value
 from torunits.realbasis import basis_change_det, basis_coeff, basis_indices, decompose
 
@@ -171,8 +169,9 @@ def test_engine_invariants():
     for n, d in CASE_LEDGER:
         base = decompose(character_value(n, d, 1) - CycInt.one(n))
         idx = basis_indices(n)
-        for pattern in enumerate_patterns(n, d):
+        for classes in enumerate_patterns(n, d):
             tuples += 1
+            pattern = EigenPattern(n, d, classes)
             bc = bound_check(pattern)  # raises if the deviation bound is violated
             assert bc.max_abs_deviation <= bc.bound
             elem = CycInt.zero(n)

@@ -197,7 +197,7 @@ def test_bound_violation_is_an_internal_error(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("internal error: deviation")
 
 
-def test_failed_report_write_leaves_no_partial_file(monkeypatch, tmp_path):
+def test_failed_report_write_leaves_no_partial_file(monkeypatch, tmp_path, capsys):
     from pathlib import Path
 
     out = tmp_path / "report.json"
@@ -208,8 +208,41 @@ def test_failed_report_write_leaves_no_partial_file(monkeypatch, tmp_path):
         write_text(self, text[: len(text) // 2], *args, **kwargs)
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-    with pytest.raises(OSError, match="No space left"):
-        main(["case", "--n", "15", "--d", "3", "--output", str(out)])
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_text", write_half_then_fail)
+        code = main(["case", "--n", "15", "--d", "3", "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write report {out}: No space left on device\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
     assert out.read_text() == "previous report\n"
+
+    # a missing directory and a directory in place of the file: exit 2, not 1
+    (tmp_path / "dir").mkdir()
+    for target, reason in (
+        (tmp_path / "missing" / "r.json", "No such file or directory"),
+        (tmp_path / "dir", "Is a directory"),
+    ):
+        code = main(["case", "--n", "15", "--d", "3", "--output", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write report {target}: {reason}\n"
+    # a directory path with an empty name
+    monkeypatch.chdir(tmp_path / "dir")
+    assert main(["case", "--n", "15", "--d", "3", "--output", "."]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write report .: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "report.json"]
+    assert not any((tmp_path / "dir").iterdir())
+
+
+def test_cli_does_not_load_the_oracles():
+    # the oracles and the float routines stay off the command-line path
+    import os
+
+    import torunits
+
+    src = os.path.dirname(os.path.dirname(torunits.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, torunits.cli; print(sorted({'torunits.oracles', 'cmath'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -9,25 +9,27 @@ from torunits.cyclotomic import CycInt, real_trace
 from torunits.helpengine import (
     AugVector,
     CaseInapplicableError,
-    EigenPattern,
     NearMiss,
     augmentations_from_traces,
-    bound_check,
-    bound_filtered_divisors,
     candidate_divisors,
     check_case,
     classwise_powers,
-    deviation,
-    deviation_vector,
     enumerate_patterns,
     explore_augmentations,
     induction_powers,
-    satisfies_power_constraints,
     unit_trace,
     verify_order,
-    weight_consistent,
 )
 from torunits.numtheory import class_rep, class_reps, prime_divisors
+from torunits.oracles import (
+    EigenPattern,
+    bound_check,
+    bound_filtered_divisors,
+    deviation,
+    deviation_vector,
+    satisfies_power_constraints,
+    weight_consistent,
+)
 from torunits.psl2 import character_value
 from torunits.realbasis import basis_indices, decompose
 
@@ -143,7 +145,7 @@ def test_candidate_divisors_zero_slot_flags():
 
 
 def test_enumerate_patterns_15_3():
-    pats = [p.classes for p in enumerate_patterns(15, 3)]
+    pats = list(enumerate_patterns(15, 3))
     assert pats == sorted(pats)
     assert (1, 2, 3) in pats
     assert (2, 6, 7) in pats  # one entry ~ 1 mod 5, two ~ 2 mod 5
@@ -155,7 +157,10 @@ def test_enumerate_patterns_satisfy_all_divisor_constraints():
         pats = list(enumerate_patterns(n, d))
         assert pats
         for p in pats:
-            assert satisfies_power_constraints(p)
+            # check_case relies on this form without a type to enforce it
+            assert type(p) is tuple and len(p) == d
+            assert all(a <= b for a, b in zip(p, p[1:])), p
+            assert satisfies_power_constraints(EigenPattern(n, d, p))
 
 
 def test_enumerate_patterns_is_complete():
@@ -168,22 +173,22 @@ def test_enumerate_patterns_is_complete():
             p = EigenPattern(n, d, combo)
             if satisfies_power_constraints(p):
                 want.add(p.classes)
-        got = {p.classes for p in enumerate_patterns(n, d)}
+        got = set(enumerate_patterns(n, d))
         assert got == want, (n, d)
 
 
 def test_enumerate_patterns_21_3_zero_count():
     # the constraint modulo 7 forces exactly one entry divisible by 3
     for p in enumerate_patterns(21, 3):
-        assert sum(1 for x in p.classes if x % 3 == 0) == 1
+        assert sum(1 for x in p if x % 3 == 0) == 1
 
 
 def test_zero_slot_only_when_smallest_prime_cofactor():
     for n, d in ((15, 3), (15, 5), (21, 7), (35, 7), (45, 15)):
         for p in enumerate_patterns(n, d):
-            if 0 in p.classes:
+            if 0 in p:
                 assert n // d == prime_divisors(n)[0]
-                assert sum(1 for x in p.classes if x == 0) == 1
+                assert sum(1 for x in p if x == 0) == 1
 
 
 # -- deviations -------------------------------------------------------------
@@ -218,16 +223,17 @@ def test_deviation_matches_decomposition_oracle():
         idx = basis_indices(n)
         for p in list(enumerate_patterns(n, d))[:40]:
             elem = CycInt.zero(n)
-            for x in p.classes:
+            for x in p:
                 elem = elem + real_trace(n, x)
             coords = decompose(elem)
             want = tuple(coords[b] - base[b] for b in idx)
-            assert deviation_vector(p) == want, (n, d, p)
+            assert deviation_vector(EigenPattern(n, d, p)) == want, (n, d, p)
 
 
 def test_bound_never_violated_and_weights_consistent():
     for n, d in ((15, 3), (15, 5), (21, 3), (21, 7), (35, 7), (45, 5), (75, 3)):
-        for p in enumerate_patterns(n, d):
+        for classes in enumerate_patterns(n, d):
+            p = EigenPattern(n, d, classes)
             bc = bound_check(p)
             assert bc.max_abs_deviation <= bc.bound
             assert weight_consistent(p)
@@ -274,7 +280,8 @@ def test_check_case_45_15_has_no_near_misses():
     cert = check_case(45, 15)
     assert cert.pruning_stats["near_misses"] == 0
     assert all(
-        max(abs(v) for v in deviation_vector(p)) <= 14 for p in enumerate_patterns(45, 15)
+        max(abs(v) for v in deviation_vector(EigenPattern(45, 15, p))) <= 14
+        for p in enumerate_patterns(45, 15)
     )
 
 
@@ -286,7 +293,7 @@ def test_check_case_matches_deviation_vector_oracle():
         stats = dict.fromkeys(cert.pruning_stats, 0)
         near = []
         for p in enumerate_patterns(n, d):
-            dev = deviation_vector(p)
+            dev = deviation_vector(EigenPattern(n, d, p))
             max_abs = max(abs(v) for v in dev)
             if max_abs == 0:
                 stats["deviation_zero"] += 1
@@ -297,7 +304,7 @@ def test_check_case_matches_deviation_vector_oracle():
                 if max_abs >= d:
                     stats["near_misses"] += 1
                     k = next(k for k, v in enumerate(dev) if v % d)
-                    near.append(NearMiss(p.classes, max_abs, basis[k], dev[k]))
+                    near.append(NearMiss(p, max_abs, basis[k], dev[k]))
         assert dict(cert.pruning_stats) == stats, (n, d)
         assert cert.near_misses == tuple(near), (n, d)
 

@@ -1,7 +1,6 @@
 import pytest
 
 from torunits.numtheory import (
-    Modulus,
     basis_exponents,
     class_rep,
     class_reps,
@@ -136,15 +135,6 @@ def test_basis_exponents_squarefree_are_units():
         assert set(basis_exponents(n)) == {x for x in range(n) if math.gcd(x, n) == 1}
 
 
-def test_modulus_fields():
-    m = Modulus.of(45)
-    assert m.n == 45
-    assert m.prime_factorization == ((3, 2), (5, 1))
-    assert m.radical == 15
-    assert m.prime_part(3) == 9
-    assert m.prime_part(7) == 1
-
-
 def test_divisors_and_phi():
     assert divisors(45) == (1, 3, 5, 9, 15, 45)
     assert euler_phi(45) == 24
@@ -154,7 +144,7 @@ def test_divisors_and_phi():
 def test_band_membership_is_exhaustive():
     # every residue is on exactly one side of each layer threshold (n odd)
     for n in range(3, 106, 2):
-        layers = [(p, p**e) for p, e in Modulus.of(n).prime_factorization]
+        layers = [(p, p**e) for p, e in factorize(n)]
         for x in range(n):
             for p, np_ in layers:
                 r = 2 * p * abs(signed_residue(x, np_))
@@ -165,7 +155,7 @@ def test_elementary_residue_property_one():
     # if p divides the near-zero part then the signed residue one layer
     # down is congruent to x modulo the full p-layer
     for n in range(2, 201):
-        layers = {p: p**e for p, e in Modulus.of(n).prime_factorization}
+        layers = {p: p**e for p, e in factorize(n)}
         for x in range(n):
             g = near_zero_part(n, x)
             for p, np_ in layers.items():
