@@ -4,8 +4,10 @@ Every subcommand prints a short human summary to stdout and writes a
 machine-readable JSON report.  Reports are byte-stable: they contain
 the run parameters (seed included, output path excluded) and the
 results in canonical order, so identical inputs give identical bytes.
-The verifier runs in one process; `--workers` is still accepted and
-must be at least 1, but it has no effect.
+Each subcommand accepts only the flags it reads, plus `--output` and
+`--seed`; any other flag exits 2.  The verifier runs in one process:
+`verify` and `case` still accept `--workers`, which must be at least 1
+but has no effect.
 
 Exit codes: 0 when every check passed / every case was eliminated,
 1 when a survivor or a property violation was found, 2 on invalid
@@ -19,9 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from torunits import __version__
 from torunits.cyclotomic import real_trace
@@ -30,7 +30,6 @@ from torunits.helpengine import (
     CaseInapplicableError,
     InvariantViolationError,
     check_case,
-    explore_augmentations,
     verify_order,
 )
 from torunits.numtheory import euler_phi
@@ -46,31 +45,14 @@ from torunits.realbasis import (
 
 SCHEMA_VERSION = 1
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters for one invocation."""
-
-    command: str
-    q: int | None = None
-    n: int | None = None
-    d: int | None = None
-    p: int | None = None
-    m: int | None = None
-    input: str | None = None
-    output: str | None = None
-    seed: int = 0
-    list_survivors: bool = False
-
-    def report_parameters(self) -> dict:
-        # the output location never influences report content
-        params: dict[str, Any] = {}
-        for key in ("q", "n", "d", "p", "m", "input"):
-            value = getattr(self, key)
-            if value is not None:
-                params[key] = value
-        params["seed"] = self.seed
-        return params
+_FLAGS = {
+    "q": (int, "prime power defining PSL(2,q)"),
+    "n": (int, "unit order"),
+    "d": (int, "candidate divisor of n"),
+    "p": (int, "prime for the cyclotomic-value check"),
+    "m": (int, "exponent / character index"),
+    "input": (str, "instance file"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,49 +61,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certify rational conjugacy of odd-order torsion units in ZPSL(2,q).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    for name, (_, help_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
-        sp.add_argument("--q", type=int, help="prime power defining PSL(2,q)")
-        sp.add_argument("--n", type=int, help="unit order")
-        sp.add_argument("--d", type=int, help="candidate divisor of n")
-        sp.add_argument("--p", type=int, help="prime for the cyclotomic-value check")
-        sp.add_argument("--m", type=int, help="exponent / character index")
-        sp.add_argument("--input", help="instance file")
+        for flag in flags:
+            type_, flag_help = _FLAGS[flag]
+            sp.add_argument(f"--{flag}", type=type_, help=flag_help)
         sp.add_argument("--output", help="report file (default: report.json)")
-        sp.add_argument(
-            "--workers", type=int, default=1, help="no effect: runs in one process (>= 1)"
-        )
         sp.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
-        sp.add_argument(
-            "--list-survivors",
-            action="store_true",
-            help="print surviving patterns in the human summary",
-        )
-        return sp
-
-    add("verify", "verify all admissible orders for q, or one order n")
-    add("case", "examine a single case (n, d)")
-    add("lemma-phi", "check that the (n*p^m)-th cyclotomic value at zeta_n is divisible by p")
-    add("nt-check", "run the vanishing criterion on an instance file")
-    add("basis", "verify the distinguished real-basis properties for one n")
-    add("orders", "print the group profile and admissible orders for q")
-    add("explore-eps", "exploratory search over small augmentation vectors")
+        if name in ("verify", "case"):
+            sp.add_argument(
+                "--workers", type=int, default=1, help="no effect: runs in one process (>= 1)"
+            )
+        if name == "case":
+            sp.add_argument(
+                "--list-survivors",
+                action="store_true",
+                help="print surviving patterns in the human summary",
+            )
     return parser
 
 
-def _require(config: RunConfig, *names: str) -> None:
-    missing = [f"--{x}" for x in names if getattr(config, x) is None]
+def _require(args: argparse.Namespace, *names: str) -> None:
+    missing = [f"--{x}" for x in names if getattr(args, x) is None]
     if missing:
-        raise ValueError(f"{config.command} requires {', '.join(missing)}")
+        raise ValueError(f"{args.command} requires {', '.join(missing)}")
 
 
-def _write_report(path: Path, config: RunConfig, results: list[dict], ok: bool) -> None:
+def _write_report(path: Path, args: argparse.Namespace, results: list[dict], ok: bool) -> None:
+    # the output location never influences report content
+    flags = _COMMANDS[args.command][2]
+    params = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
-        "command": config.command,
-        "parameters": config.report_parameters(),
+        "command": args.command,
+        "parameters": {**params, "seed": args.seed},
         "ok": ok,
         "results": results,
     }
@@ -135,57 +109,57 @@ def _write_report(path: Path, config: RunConfig, results: list[dict], ok: bool) 
         tmp.unlink(missing_ok=True)
 
 
-def _cmd_verify(config: RunConfig) -> tuple[list[dict], bool]:
-    if config.n is None and config.q is None:
+def _cmd_verify(args: argparse.Namespace) -> tuple[list[dict], bool]:
+    if args.n is None and args.q is None:
         raise ValueError("verify requires --q or --n")
-    if config.n is not None:
-        orders = [config.n]
+    if args.n is not None:
+        orders = [args.n]
     else:
-        orders = list(admissible_orders(config.q))
+        orders = list(admissible_orders(args.q))
     results = []
     ok = True
     for n in orders:
-        verdict = verify_order(n, q=config.q)
+        verdict = verify_order(n, q=args.q)
         results.append(verdict.to_json_dict())
         ok = ok and verdict.conclusion == "verified"
-        print(f"order n={n}" + (f" (q={config.q})" if config.q else "") + f": {verdict.conclusion}")
+        print(f"order n={n}" + (f" (q={args.q})" if args.q else "") + f": {verdict.conclusion}")
         for cert in verdict.cases:
             print(
                 f"  case d={cert.d}: {cert.verdict} "
                 f"({cert.tuples_examined} patterns, {cert.pruning_stats['near_misses']} near misses)"
             )
     if not orders:
-        print(f"q={config.q}: no admissible orders; nothing to verify")
+        print(f"q={args.q}: no admissible orders; nothing to verify")
     return results, ok
 
 
-def _cmd_case(config: RunConfig) -> tuple[list[dict], bool]:
-    _require(config, "n", "d")
-    cert = check_case(config.n, config.d)
+def _cmd_case(args: argparse.Namespace) -> tuple[list[dict], bool]:
+    _require(args, "n", "d")
+    cert = check_case(args.n, args.d)
     print(
-        f"case n={config.n} d={config.d}: {cert.verdict} "
+        f"case n={args.n} d={args.d}: {cert.verdict} "
         f"({cert.tuples_examined} patterns, {cert.pruning_stats['near_misses']} near misses, "
         f"{cert.pruning_stats['survivors']} survivors)"
     )
-    if config.list_survivors and cert.survivors:
+    if args.list_survivors and cert.survivors:
         for s in cert.survivors:
             print(f"  survivor: {list(s)}")
     return [cert.to_json_dict()], cert.verdict == "eliminated"
 
 
-def _cmd_lemma_phi(config: RunConfig) -> tuple[list[dict], bool]:
-    _require(config, "n", "p", "m")
-    ok = cyclotomic_value_divisible(config.n, config.p, config.m)
+def _cmd_lemma_phi(args: argparse.Namespace) -> tuple[list[dict], bool]:
+    _require(args, "n", "p", "m")
+    ok = cyclotomic_value_divisible(args.n, args.p, args.m)
     print(
-        f"cyclotomic value at n={config.n}, p={config.p}, m={config.m}: "
+        f"cyclotomic value at n={args.n}, p={args.p}, m={args.m}: "
         + ("divisible" if ok else "NOT divisible")
     )
-    return [{"n": config.n, "p": config.p, "m": config.m, "divisible": ok}], ok
+    return [{"n": args.n, "p": args.p, "m": args.m, "divisible": ok}], ok
 
 
-def _cmd_nt_check(config: RunConfig) -> tuple[list[dict], bool]:
-    _require(config, "input")
-    inst = _read_instance(config.input)
+def _cmd_nt_check(args: argparse.Namespace) -> tuple[list[dict], bool]:
+    _require(args, "input")
+    inst = _read_instance(args.input)
     verdict = check_vanishing(inst)
     violation = verdict.hypotheses_hold and not verdict.conclusion_holds
     print(
@@ -220,9 +194,9 @@ def _read_instance(path: str) -> PowerSums:
     return PowerSums(n, tuple(int(x) for x in body), d)
 
 
-def _cmd_basis(config: RunConfig) -> tuple[list[dict], bool]:
-    _require(config, "n")
-    n = config.n
+def _cmd_basis(args: argparse.Namespace) -> tuple[list[dict], bool]:
+    _require(args, "n")
+    n = args.n
     idx = basis_indices(n)
     det = basis_change_det(n)
     size_ok = len(idx) == euler_phi(n) // 2
@@ -252,10 +226,10 @@ def _cmd_basis(config: RunConfig) -> tuple[list[dict], bool]:
     return [result], ok
 
 
-def _cmd_orders(config: RunConfig) -> tuple[list[dict], bool]:
-    _require(config, "q")
-    profile = group_profile(config.q)
-    adm = admissible_orders(config.q)
+def _cmd_orders(args: argparse.Namespace) -> tuple[list[dict], bool]:
+    _require(args, "q")
+    profile = group_profile(args.q)
+    adm = admissible_orders(args.q)
     print(
         f"PSL(2,{profile.q}): order {profile.order}, element orders {list(profile.element_orders)}"
     )
@@ -271,62 +245,62 @@ def _cmd_orders(config: RunConfig) -> tuple[list[dict], bool]:
     return [result], True
 
 
-def _cmd_explore_eps(config: RunConfig) -> tuple[list[dict], bool]:
-    _require(config, "n")
-    m_max = config.m if config.m is not None else 3
-    found = explore_augmentations(config.n, m_max=m_max)
+def _cmd_explore_eps(args: argparse.Namespace) -> tuple[list[dict], bool]:
+    from torunits.augment import explore_augmentations
+
+    _require(args, "n")
+    m_max = args.m if args.m is not None else 3
+    found = explore_augmentations(args.n, m_max=m_max)
     print(
-        f"order n={config.n}, characters up to degree {1 + 2 * m_max}: "
+        f"order n={args.n}, characters up to degree {1 + 2 * m_max}: "
         f"{len(found)} augmentation vector(s) pass the multiplicity filter"
     )
     for av in found:
         nonzero = {x: v for x, v in av.eps.items() if v}
         print(f"  {nonzero}")
     results = [
-        {"n": config.n, "m_max": m_max, "solutions": [dict(av.eps) for av in found]}
+        {"n": args.n, "m_max": m_max, "solutions": [dict(av.eps) for av in found]}
     ]
     return results, True
 
 
-_DISPATCH = {
-    "verify": _cmd_verify,
-    "case": _cmd_case,
-    "lemma-phi": _cmd_lemma_phi,
-    "nt-check": _cmd_nt_check,
-    "basis": _cmd_basis,
-    "orders": _cmd_orders,
-    "explore-eps": _cmd_explore_eps,
+# command -> (handler, help, the flags it reads in report order); every
+# command also takes --output and --seed, and verify and case --workers
+_COMMANDS = {
+    "verify": (_cmd_verify, "verify all admissible orders for q, or one order n", ("q", "n")),
+    "case": (_cmd_case, "examine a single case (n, d)", ("n", "d")),
+    "lemma-phi": (
+        _cmd_lemma_phi,
+        "check that the (n*p^m)-th cyclotomic value at zeta_n is divisible by p",
+        ("n", "p", "m"),
+    ),
+    "nt-check": (_cmd_nt_check, "run the vanishing criterion on an instance file", ("input",)),
+    "basis": (_cmd_basis, "verify the distinguished real-basis properties for one n", ("n",)),
+    "orders": (_cmd_orders, "print the group profile and admissible orders for q", ("q",)),
+    "explore-eps": (
+        _cmd_explore_eps,
+        "exploratory search over small augmentation vectors",
+        ("n", "m"),
+    ),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        q=args.q,
-        n=args.n,
-        d=args.d,
-        p=args.p,
-        m=args.m,
-        input=args.input,
-        output=args.output,
-        seed=args.seed,
-        list_survivors=args.list_survivors,
-    )
     try:
-        if args.workers < 1:
+        if getattr(args, "workers", 1) < 1:
             raise ValueError(f"need at least 1 worker, got {args.workers}")
-        results, ok = _DISPATCH[config.command](config)
+        results, ok = _COMMANDS[args.command][0](args)
     except (ValueError, CaseInapplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvariantViolationError, DecompositionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    path = Path(config.output or "report.json")
+    path = Path(args.output or "report.json")
     try:
-        _write_report(path, config, results, ok)
+        _write_report(path, args, results, ok)
     except OSError as exc:
         print(f"error: cannot write report {path}: {exc.strerror or exc}", file=sys.stderr)
         return 2

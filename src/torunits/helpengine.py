@@ -1,11 +1,11 @@
 """Case-analysis engine for torsion units of odd composite order n.
 
 This module is the verification path, candidate_divisors ->
-enumerate_patterns -> check_case -> verify_order, together with the
-augmentation-vector tools it is stated in terms of.  Patterns travel
-as bare sorted class tuples; the independent cross-check oracles
-(EigenPattern, dense deviation vectors, the bound and weight checks)
-live in torunits.oracles, which this module does not import.
+enumerate_patterns -> check_case -> verify_order, and nothing else.
+Patterns travel as bare sorted class tuples.  The independent
+cross-check oracles (EigenPattern, dense deviation vectors, the bound
+and weight checks) live in torunits.oracles and the augmentation-vector
+tools in torunits.augment; this module imports neither.
 
 Setting: u is a normalized torsion unit of order n (odd, coprime to the
 group characteristic, not a prime power) in the integral group ring of
@@ -42,20 +42,12 @@ realbasis.trace_coordinates over the positions those rows touch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
-from torunits.cyclotomic import CycInt, rational_trace
-from torunits.numtheory import (
-    class_rep,
-    class_reps,
-    divisors,
-    prime_count,
-    prime_divisors,
-)
-from torunits.psl2 import character_value, group_profile, is_prime_power
+from torunits.numtheory import class_rep, class_reps, divisors, prime_count, prime_divisors
+from torunits.psl2 import group_profile, is_prime_power
 from torunits.realbasis import basis_indices, trace_coordinates
 
 
@@ -65,164 +57,6 @@ class CaseInapplicableError(ValueError):
 
 class InvariantViolationError(RuntimeError):
     """An internal bound or cross-check failed; indicates a bug, not a survivor."""
-
-
-# -- partial augmentations ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class AugVector:
-    """Partial augmentations of a normalized unit, indexed by sign classes.
-
-    eps[x] is the partial augmentation at the class of the x-th power of
-    the reference generator; the values must sum to 1.  For a unit
-    different from 1 the entry at class 0 vanishes (Berman-Higman), but
-    the constructor does not force this so the trivial unit can be
-    represented too.
-    """
-
-    n: int
-    eps: Mapping[int, int]
-
-    def __post_init__(self):
-        reps = class_reps(self.n)
-        rep_set = set(reps)
-        bad = [x for x in self.eps if x not in rep_set]
-        if bad:
-            raise ValueError(f"keys must be class representatives in [0, {self.n//2}]: {bad}")
-        full = {x: int(self.eps.get(x, 0)) for x in reps}
-        if sum(full.values()) != 1:
-            raise ValueError(f"partial augmentations must sum to 1, got {sum(full.values())}")
-        object.__setattr__(self, "eps", full)
-
-    @staticmethod
-    def indicator(n: int, x: int) -> "AugVector":
-        return AugVector(n, {class_rep(n, x): 1})
-
-    def __getitem__(self, x: int) -> int:
-        return self.eps[class_rep(self.n, x)]
-
-
-def unit_trace(eps: AugVector, i: int) -> CycInt:
-    """sum_x eps[x] * (zeta^(i*x) + zeta^(-i*x)): the implied real trace value."""
-    n = eps.n
-    coeffs = [0] * n
-    for x, c in eps.eps.items():
-        if c:
-            coeffs[(i * x) % n] += c
-            coeffs[(-i * x) % n] += c
-    return CycInt(n, coeffs)
-
-
-def augmentations_from_traces(traces: Sequence[CycInt], n: int) -> AugVector:
-    """Invert i -> unit_trace(eps, i) given the values for i = 0..n-1.
-
-    Inverts the finite Fourier transform exactly inside Z[zeta_n]: for
-    each j, sum_i traces[i] * zeta^(-i*j) must reduce to the constant
-    n * E_j with E_j = E_{n-j} integers and E_0 even.  Inconsistent
-    input (anything not of the form unit_trace(eps, .) for an integer
-    augmentation vector summing to 1) raises ValueError.
-    """
-    if len(traces) != n:
-        raise ValueError(f"expected {n} trace values, got {len(traces)}")
-    raws = []
-    for i, t in enumerate(traces):
-        if not isinstance(t, CycInt) or t.n != n:
-            raise ValueError(f"trace {i} is not an element of the order-{n} ring")
-        raws.append(t.coeffs)
-    E = [0] * n
-    for j in range(n):
-        acc = [0] * n
-        for i, raw in enumerate(raws):
-            k = (i * j) % n
-            shifted = raw[k:] + raw[:k]
-            acc = [a + b for a, b in zip(acc, shifted)]
-        red = CycInt(n, acc).reduced
-        if any(red[1:]):
-            raise ValueError(f"trace data is inconsistent: component {j} is not rational")
-        if red[0] % n:
-            raise ValueError(f"trace data is inconsistent: non-integer solution at {j}")
-        E[j] = red[0] // n
-    for x in range(1, n // 2 + 1):
-        if E[x] != E[n - x]:
-            raise ValueError(f"trace data is inconsistent: asymmetry at {x}")
-    if E[0] % 2:
-        raise ValueError("trace data is inconsistent: odd weight at class 0")
-    eps = {0: E[0] // 2}
-    eps.update({x: E[x] for x in range(1, n // 2 + 1)})
-    return AugVector(n, eps)
-
-
-# -- eigenvalue multiplicities ------------------------------------------
-
-
-def classwise_powers(eps: AugVector) -> dict[int, AugVector]:
-    """Augmentations of the c-th powers under the class-power rule.
-
-    Sends the class of x to the class of x modulo n/c; exact whenever
-    the augmentations are the indicator of a single class (a genuine
-    group element), and the natural default elsewhere.
-    """
-    n = eps.n
-    out = {}
-    for c in divisors(n):
-        if c == 1:
-            continue
-        k = n // c
-        folded: dict[int, int] = {}
-        for x, v in eps.eps.items():
-            if v:
-                y = class_rep(k, x) if k > 1 else 0
-                folded[y] = folded.get(y, 0) + v
-        out[c] = AugVector(k, folded)
-    return out
-
-
-def induction_powers(n: int) -> dict[int, AugVector]:
-    """Power augmentations under the hypothesis u^c ~ g^c for every c != 1."""
-    out = {}
-    for c in divisors(n):
-        if c == 1:
-            continue
-        k = n // c
-        out[c] = AugVector.indicator(k, 1 if k > 1 else 0)
-    return out
-
-
-def eigenvalue_multiplicity(
-    eps: AugVector,
-    m: int,
-    l: int,
-    powers: Mapping[int, AugVector] | None = None,
-) -> Fraction:
-    """Exact multiplicity of zeta^l as an eigenvalue of the degree-(1+2m) image.
-
-    Uses the finite Fourier inversion over the subfield tower: the term
-    for a divisor c of n is the rational trace of chi(u^c) * zeta^(-l)
-    taken in the ring of the (n/c)-th roots of unity, where chi(u^c) is
-    expanded through the supplied partial augmentations of u^c.  When
-    `powers` is omitted they are derived by the class-power rule, which
-    matches genuine group elements; the engine's exploratory search
-    passes induction_powers(n) instead.
-
-    For an actual torsion unit the result is a nonnegative integer and
-    the function l -> multiplicity is invariant under l -> -l.
-    """
-    n = eps.n
-    if powers is None:
-        powers = classwise_powers(eps)
-    total = 0
-    for c in divisors(n):
-        k = n // c
-        pe = eps if c == 1 else powers[c]
-        if pe.n != k:
-            raise ValueError(f"power augmentations for c={c} must live at modulus {k}")
-        value = CycInt.zero(k)
-        for y, v in pe.eps.items():
-            if v:
-                value = value + v * character_value(k, m, y)
-        total += rational_trace(value * CycInt.root(k, -l))
-    return Fraction(total, n)
 
 
 # -- candidate divisors --------------------------------------------------
@@ -502,83 +336,6 @@ def check_case(n: int, d: int) -> CaseCertificate:
     )
 
 
-def explore_augmentations(n: int, m_max: int = 3, bound: int = 1) -> list[AugVector]:
-    """Exploratory search over small augmentation vectors for units of order n.
-
-    Enumerates every vector with entries in [-bound, bound] over the
-    nonzero classes (class 0 fixed at 0, total 1) and keeps those whose
-    eigenvalue multiplicities, computed under the power hypothesis
-    u^c ~ g^c, are nonnegative integers symmetric under l -> -l for all
-    character indices m <= m_max.  Exploratory only: the filter is a
-    relaxation, so the returned list over-approximates actual units.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"need an odd order >= 3, got {n}")
-    if m_max < 1 or bound < 1:
-        raise ValueError("need m_max >= 1 and bound >= 1")
-    reps = class_reps(n)[1:]
-    powers = induction_powers(n)
-
-    # Multiplicities are linear in the augmentations with the power terms
-    # fixed, so precompute one trace per (m, class, l) plus the constant.
-    per_class = {}
-    for m in range(1, m_max + 1):
-        for x in reps + (0,):
-            cv = character_value(n, m, x)
-            per_class[(m, x)] = tuple(
-                rational_trace(cv * CycInt.root(n, -l)) for l in range(n)
-            )
-    const = {}
-    for m in range(1, m_max + 1):
-        acc = [0] * n
-        for c in divisors(n):
-            if c == 1:
-                continue
-            k = n // c
-            pe = powers[c]
-            value = CycInt.zero(k)
-            for y, v in pe.eps.items():
-                if v:
-                    value = value + v * character_value(k, m, y)
-            for l in range(n):
-                acc[l] += rational_trace(value * CycInt.root(k, -l))
-        const[m] = tuple(acc)
-
-    found = []
-    span = range(-bound, bound + 1)
-
-    def walk(idx: int, total: int, values: list[int]):
-        if idx == len(reps):
-            if total != 1:
-                return
-            for m in range(1, m_max + 1):
-                mults = []
-                row = const[m]
-                for l in range(n):
-                    t = row[l]
-                    for x, v in zip(reps, values):
-                        if v:
-                            t += v * per_class[(m, x)][l]
-                    if t % n or t < 0:
-                        return
-                    mults.append(t // n)
-                for l in range(1, n):
-                    if mults[l] != mults[-l % n]:
-                        return
-            found.append(AugVector(n, dict(zip(reps, values))))
-            return
-        remaining = len(reps) - idx
-        for v in span:
-            t = total + v
-            if t - bound * (remaining - 1) <= 1 <= t + bound * (remaining - 1):
-                values.append(v)
-                walk(idx + 1, t, values)
-                values.pop()
-
-    walk(0, 0, [])
-    return found
-
-
 # -- order-level verdicts -------------------------------------------------
 
 
@@ -657,7 +414,6 @@ def verify_order(n: int, q: int | None = None) -> OrderVerdict:
 
 
 __all__ = [
-    "AugVector",
     "Candidate",
     "CandidateDivisors",
     "CaseCertificate",
@@ -665,14 +421,8 @@ __all__ = [
     "InvariantViolationError",
     "NearMiss",
     "OrderVerdict",
-    "augmentations_from_traces",
     "candidate_divisors",
     "check_case",
-    "classwise_powers",
-    "eigenvalue_multiplicity",
     "enumerate_patterns",
-    "explore_augmentations",
-    "induction_powers",
-    "unit_trace",
     "verify_order",
 ]

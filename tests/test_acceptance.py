@@ -7,18 +7,11 @@ import json
 import random
 import time
 
+from torunits.augment import AugVector, augmentations_from_traces, unit_trace
 from torunits.cli import main
 from torunits.cyclotomic import CycInt, real_trace
 from torunits.divisibility import check_vanishing, cyclotomic_value_divisible, recipe_instance
-from torunits.helpengine import (
-    AugVector,
-    augmentations_from_traces,
-    candidate_divisors,
-    check_case,
-    enumerate_patterns,
-    unit_trace,
-    verify_order,
-)
+from torunits.helpengine import candidate_divisors, check_case, enumerate_patterns, verify_order
 from torunits.numtheory import (
     basis_exponents,
     divisors,

@@ -151,6 +151,23 @@ def test_missing_required_flags(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["case", "--n", "45", "--d", "15", "--q", "7"],
+        ["basis", "--n", "15", "--workers", "2"],
+        ["verify", "--q", "16", "--list-survivors"],
+    ],
+)
+def test_command_rejects_flags_it_does_not_read(argv, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_is_invalid(workers, tmp_path, capsys):
     out = tmp_path / "x.json"
@@ -235,14 +252,16 @@ def test_failed_report_write_leaves_no_partial_file(monkeypatch, tmp_path, capsy
 
 
 def test_cli_does_not_load_the_oracles():
-    # the oracles and the float routines stay off the command-line path
+    # the oracles, the augmentation tools, rationals and the float routines
+    # stay off the command-line path
     import os
 
     import torunits
 
     src = os.path.dirname(os.path.dirname(torunits.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, torunits.cli; print(sorted({'torunits.oracles', 'cmath'} & set(sys.modules)))"
+    off_path = {"torunits.oracles", "torunits.augment", "fractions", "cmath"}
+    code = f"import sys, torunits.cli; print(sorted({off_path!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

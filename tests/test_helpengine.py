@@ -1,26 +1,30 @@
 import hashlib
 import json
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from torunits.cyclotomic import CycInt, real_trace
-from torunits.helpengine import (
+from torunits.augment import (
     AugVector,
-    CaseInapplicableError,
-    NearMiss,
     augmentations_from_traces,
-    candidate_divisors,
-    check_case,
     classwise_powers,
-    enumerate_patterns,
+    eigenvalue_multiplicity,
     explore_augmentations,
     induction_powers,
     unit_trace,
+)
+from torunits.cyclotomic import CycInt, real_trace
+from torunits.helpengine import (
+    CaseInapplicableError,
+    NearMiss,
+    candidate_divisors,
+    check_case,
+    enumerate_patterns,
     verify_order,
 )
-from torunits.numtheory import class_rep, class_reps, prime_divisors
+from torunits.numtheory import class_rep, class_reps, divisors, prime_divisors
 from torunits.oracles import (
     EigenPattern,
     bound_check,
@@ -113,6 +117,13 @@ def test_power_derivations():
     ind = induction_powers(15)
     assert ind[3] == AugVector.indicator(5, 1)
     assert ind[15] == AugVector.indicator(1, 0)
+    # the direct definition of the power hypothesis u^c ~ g^c as the oracle
+    for n in range(3, 106, 2):
+        ind = induction_powers(n)
+        assert set(ind) == set(divisors(n)) - {1}
+        for c in ind:
+            k = n // c
+            assert ind[c] == AugVector.indicator(k, 1 if k > 1 else 0), (n, c)
 
 
 # -- candidate divisors --------------------------------------------------
@@ -373,3 +384,27 @@ def test_explore_augmentations_n15():
         assert v == 1
         # every solution is a generator class whose powers match g's powers
         assert all(class_rep(15, x * c) == class_rep(15, c) for c in (3, 5))
+
+
+def test_explore_augmentations_agrees_with_eigenvalue_multiplicity():
+    # the search's precomputed per-class traces against the direct formula
+    n, m_max = 15, 3
+    powers = induction_powers(n)
+
+    def passes(av):
+        for m in range(1, m_max + 1):
+            mults = [eigenvalue_multiplicity(av, m, l, powers) for l in range(n)]
+            if any(v.denominator != 1 or v < 0 for v in mults):
+                return False
+            if any(mults[l] != mults[-l % n] for l in range(n)):
+                return False
+        return True
+
+    found = explore_augmentations(n, m_max=m_max)
+    assert found and all(passes(av) for av in found)
+    reps = class_reps(n)[1:]
+    vectors = [v for v in product((-1, 0, 1), repeat=len(reps)) if sum(v) == 1]
+    assert len(vectors) == 357
+    for values in random.Random(15).sample(vectors, 40):
+        av = AugVector(n, dict(zip(reps, values)))
+        assert passes(av) == (av in found), values

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from torunits.augment import AugVector, eigenvalue_multiplicity
 from torunits.cyclotomic import CycInt, real_trace
-from torunits.helpengine import AugVector, eigenvalue_multiplicity
 from torunits.psl2 import (
     admissible_orders,
     character_value,
