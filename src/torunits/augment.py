@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
 from torunits.cyclotomic import CycInt, rational_trace
@@ -173,6 +174,18 @@ def eigenvalue_multiplicity(
     return Fraction(total, n)
 
 
+def explore_size(n: int) -> int:
+    """How many vectors explore_augmentations(n) tests with the default bound 1.
+
+    These are the vectors in {-1, 0, 1}^(n//2) with entry sum 1: b + 1
+    entries 1 and b entries -1 for some b.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"need an odd order >= 3, got {n}")
+    k = n // 2
+    return sum(comb(k, b + 1) * comb(k - b - 1, b) for b in range(k))
+
+
 def explore_augmentations(n: int, m_max: int = 3, bound: int = 1) -> list[AugVector]:
     """Exploratory search over small augmentation vectors for units of order n.
 
@@ -243,6 +256,7 @@ __all__ = [
     "classwise_powers",
     "eigenvalue_multiplicity",
     "explore_augmentations",
+    "explore_size",
     "induction_powers",
     "unit_trace",
 ]

@@ -1,7 +1,8 @@
 """Command-line surface: batch verification runs with JSON certificates.
 
 Every subcommand prints a short human summary to stdout and writes a
-machine-readable JSON report.  Reports are byte-stable: they contain
+machine-readable JSON report (`explore-eps` first prints the size of its
+search to stderr).  Reports are byte-stable: they contain
 the run parameters (seed included, output path excluded) and the
 results in canonical order, so identical inputs give identical bytes.
 Each subcommand accepts only the flags it reads, plus `--output` and
@@ -246,10 +247,15 @@ def _cmd_orders(args: argparse.Namespace) -> tuple[list[dict], bool]:
 
 
 def _cmd_explore_eps(args: argparse.Namespace) -> tuple[list[dict], bool]:
-    from torunits.augment import explore_augmentations
+    from torunits.augment import explore_augmentations, explore_size
 
     _require(args, "n")
     m_max = args.m if args.m is not None else 3
+    # the search is exponential in n, so say how big it is before it starts
+    print(
+        f"searching {explore_size(args.n)} augmentation vectors for order n={args.n}",
+        file=sys.stderr,
+    )
     found = explore_augmentations(args.n, m_max=m_max)
     print(
         f"order n={args.n}, characters up to degree {1 + 2 * m_max}: "

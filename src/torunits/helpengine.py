@@ -1,11 +1,12 @@
 """Case-analysis engine for torsion units of odd composite order n.
 
-This module is the verification path, candidate_divisors ->
-enumerate_patterns -> check_case -> verify_order, and nothing else.
-Patterns travel as bare sorted class tuples.  The independent
-cross-check oracles (EigenPattern, dense deviation vectors, the bound
-and weight checks) live in torunits.oracles and the augmentation-vector
-tools in torunits.augment; this module imports neither.
+This module is the verification path, candidate_divisors -> check_case
+-> verify_order, and nothing else but enumerate_patterns, the sorted
+pattern stream the tests hold check_case against.  Patterns travel as
+bare sorted class tuples.  The independent cross-check oracles
+(EigenPattern, dense deviation vectors, the bound and weight checks)
+live in torunits.oracles and the augmentation-vector tools in
+torunits.augment; this module imports neither.
 
 Setting: u is a normalized torsion unit of order n (odd, coprime to the
 group characteristic, not a prime power) in the integral group ring of
@@ -31,18 +32,21 @@ proves that units of order n are rationally conjugate to group
 elements.  Survivors over-approximate realizable counterexamples, so
 only "eliminated" carries mathematical weight.
 
-The enumeration is a backtracking search over non-decreasing class
-tuples constrained by per-prime residue multisets (the constraints for
-prime c imply those for composite c); its output order is canonical and
-the engine runs in one process, so certificates are byte-stable.  Each
-deviation is a sparse sum of the closed-formula rows of
-realbasis.trace_coordinates over the positions those rows touch.
+The admissible tuples are those meeting per-prime residue multisets
+(the constraints for prime c imply those for composite c).  One walk
+builds them as a trie of per-cell class counts; check_case searches it
+depth first, carrying the deviation as a sparse sum of the
+closed-formula rows of realbasis.trace_coordinates, and classifies each
+tuple when it reaches it, without listing the tuples.  It classifies in
+trie order and sorts only the survivors and near misses, in one
+process, so certificates are byte-stable.  enumerate_patterns expands
+the same trie into the sorted tuple stream the tests check against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement
 from math import gcd
 from typing import Iterator, Mapping
 
@@ -115,24 +119,25 @@ def candidate_divisors(n: int) -> CandidateDivisors:
 
 # -- eigenvalue patterns -------------------------------------------------
 
+# A node of the assignment trie is a list of edges (cell, count, child):
+# `count` classes come from cell `cell`, and child is the node for the
+# later cells, or None when the d classes are complete.
+_Trie = list[tuple[int, int, "_Trie | None"]]
 
-def enumerate_patterns(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All admissible patterns for the case (n, d), in lexicographic order.
 
-    Each pattern is a tuple of d class representatives in [0, n/2], in
-    non-decreasing order (the canonical form of its multiset).
+def _assignment_trie(n: int, d: int) -> tuple[list[tuple[int, ...]], _Trie]:
+    """The cells usable at (n, d) and the trie of admissible per-cell class counts.
 
     The constraints for prime divisors c = p (classes modulo n/p, the
     most restrictive moduli) imply those for composite c, so one residue
     counter per prime suffices.  Classes with the same residue class at
-    every prime form a cell; the search first distributes the required
-    counts over cells by backtracking (pruning on residue-class coverage
-    of the remaining cells), then expands each cell count into the
-    combinations of its classes.  The stream is sorted and free of
-    duplicates up to reordering and sign normalization.
+    every prime form a cell, and a cell is usable when each of its
+    residues is one the counters require.  A root-to-leaf path of the
+    trie is one way to distribute the d classes over the usable cells,
+    visited in order, that meets every counter exactly.  Cells taking no
+    class add no edge, and subtrees with no leaf are dropped.
     """
     moduli = [n // p for p in prime_divisors(n)]
-    nmod = len(moduli)
     counters: list[dict[int, int]] = []
     for m in moduli:
         want: dict[int, int] = {}
@@ -141,67 +146,112 @@ def enumerate_patterns(n: int, d: int) -> Iterator[tuple[int, ...]]:
             want[y] = want.get(y, 0) + 1
         counters.append(want)
 
-    cells: dict[tuple[int, ...], list[int]] = {}
+    by_proj: dict[tuple[int, ...], list[int]] = {}
     for x in class_reps(n):
-        cells.setdefault(tuple(class_rep(m, x) for m in moduli), []).append(x)
-    cell_list = sorted(cells)
-    # last[mi][y]: index of the last cell whose projection at modulus mi
-    # is y, so y is still reachable from cell i iff last[mi][y] >= i
-    last: list[dict[int, int]] = [{} for _ in range(nmod)]
-    for i, proj in enumerate(cell_list):
+        proj = tuple(class_rep(m, x) for m in moduli)
+        if all(y in counter for counter, y in zip(counters, proj)):
+            by_proj.setdefault(proj, []).append(x)
+    projs = sorted(by_proj)
+    cells = [tuple(by_proj[proj]) for proj in projs]
+    # last[mi][y]: index of the last cell whose projection at modulus mi is y
+    last: list[dict[int, int]] = [{} for _ in moduli]
+    for i, proj in enumerate(projs):
         for mi, y in enumerate(proj):
             last[mi][y] = i
+    # a required residue with no cell leaves nothing to enumerate.  Past
+    # the root no residue can be stranded: at its last cell the walk must
+    # take all it still needs (`low` below), so no later cell needs it.
+    if any(y not in last[mi] for mi, want in enumerate(counters) for y in want):
+        return cells, []
+    # per cell, the (counter, residue) pairs it draws on, and those of
+    # them whose residue has no later cell
+    draws = [[(counters[mi], y) for mi, y in enumerate(proj)] for proj in projs]
+    closes = [
+        [(counters[mi], y) for mi, y in enumerate(proj) if last[mi][y] == i]
+        for i, proj in enumerate(projs)
+    ]
 
-    assignments: list[list[tuple[tuple[int, ...], int]]] = []
-    picked: list[tuple[tuple[int, ...], int]] = []
-
-    def walk(i: int, remaining: int) -> None:
-        if remaining == 0:
-            assignments.append(picked.copy())
-            return
-        if i == len(cell_list):
-            return
-        for mi, counter in enumerate(counters):
-            for y, c in counter.items():
-                if c and last[mi].get(y, -1) < i:
-                    return
-        proj = cell_list[i]
-        high = min(counters[mi].get(y, 0) for mi, y in enumerate(proj))
+    def build(i: int, remaining: int) -> _Trie:
+        if i == len(cells):
+            return []
+        high = remaining
+        for counter, y in draws[i]:
+            if counter[y] < high:
+                high = counter[y]
         low = 0
-        for mi, y in enumerate(proj):
-            need = counters[mi].get(y, 0)
-            if need and last[mi][y] == i:
-                low = max(low, need)
-        if low > min(high, remaining):
-            return
-        for c in range(low, min(high, remaining) + 1):
-            if c:
-                for mi, y in enumerate(proj):
-                    counters[mi][y] -= c
-                picked.append((proj, c))
-            walk(i + 1, remaining - c)
-            if c:
-                picked.pop()
-                for mi, y in enumerate(proj):
-                    counters[mi][y] += c
+        for counter, y in closes[i]:
+            if counter[y] > low:
+                low = counter[y]
+        edges: _Trie = []
+        for c in range(low, high + 1):
+            if not c:
+                edges.extend(build(i + 1, remaining))
+                continue
+            for counter, y in draws[i]:
+                counter[y] -= c
+            if c == remaining:
+                edges.append((i, c, None))
+            else:
+                child = build(i + 1, remaining - c)
+                if child:
+                    edges.append((i, c, child))
+            for counter, y in draws[i]:
+                counter[y] += c
+        return edges
 
-    walk(0, d)
+    return cells, build(0, d)
 
+
+def enumerate_patterns(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """All admissible patterns for the case (n, d), in lexicographic order.
+
+    Each pattern is a tuple of d class representatives in [0, n/2], in
+    non-decreasing order (the canonical form of its multiset).  The
+    patterns are the expansions of the assignment trie that check_case
+    searches: every path's cell counts, each expanded into the
+    combinations of its cells' classes.  The stream is sorted and free
+    of duplicates up to reordering and sign normalization; it is the
+    reference the tests hold check_case's search against.
+    """
+    cells, trie = _assignment_trie(n, d)
     patterns: list[tuple[int, ...]] = []
-    for assignment in assignments:
-        pools = [
-            list(combinations_with_replacement(cells[proj], c)) for proj, c in assignment
-        ]
-        for combo in product(*pools):
-            flat: list[int] = []
-            for group in combo:
-                flat.extend(group)
-            patterns.append(tuple(sorted(flat)))
+
+    def expand(node: _Trie, prefix: tuple[int, ...]) -> None:
+        for i, c, child in node:
+            for group in combinations_with_replacement(cells[i], c):
+                if child is None:
+                    patterns.append(tuple(sorted(prefix + group)))
+                else:
+                    expand(child, prefix + group)
+
+    expand(trie, ())
     patterns.sort()
     yield from patterns
 
 
 # -- case analysis -------------------------------------------------------
+
+_Row = tuple[tuple[int, int], ...]  # sparse (basis position, value) pairs
+# a combination of classes of one cell, its summed row and its class-0 count
+_Group = tuple[tuple[int, ...], _Row, int]
+
+
+class _Tally(dict):
+    """tally[v]: what an accumulator value v adds to check_case's search state.
+
+    The state packs two counts over the accumulator: the nonzero values
+    in its low `shift` bits and the values with |v| >= d above them, so
+    updating one position costs two lookups.  Each count is below
+    2**shift, so neither spills into the other.
+    """
+
+    def __init__(self, d: int, shift: int):
+        super().__init__()
+        self.d, self.shift = d, shift
+
+    def __missing__(self, v: int) -> int:
+        w = self[v] = (v != 0) + ((abs(v) >= self.d) << self.shift)
+        return w
 
 
 @dataclass(frozen=True)
@@ -254,8 +304,13 @@ def check_case(n: int, d: int) -> CaseCertificate:
 
     A pattern survives iff its deviation vector is nonzero and divisible
     by d at every basis index; "eliminated" means no pattern survives.
-    The patterns are classified one after another in this process, so
-    the certificate is deterministic.
+    One depth-first search over the assignment trie visits each pattern
+    once, as a stack of per-cell class groups: pushing a group adds its
+    summed row to the deviation and popping it subtracts the row, and a
+    pattern is classified from two running counts, in time linear in the
+    support of its last group.  No pattern list is built.  Survivors and
+    near misses are sorted by pattern at the end, so the certificate is
+    the one the sorted pattern stream would give.
     """
     cands = candidate_divisors(n)
     if not cands.applicable:
@@ -268,13 +323,9 @@ def check_case(n: int, d: int) -> CaseCertificate:
         raise CaseInapplicableError(f"{d} is not a candidate divisor of {n}")
 
     basis, rows = basis_indices(n), trace_coordinates(n)
-    # g's character data, negated: the rows of the classes of 1..d
-    neg_ident: dict[int, int] = {}
-    for i in range(1, d + 1):
-        for k, v in rows[class_rep(n, i)]:
-            neg_ident[k] = neg_ident.get(k, 0) - v
+    cells, trie = _assignment_trie(n, d)
     cap = 2 ** (prime_count(d) + 2)
-    patterns = list(enumerate_patterns(n, d))
+    zero_slot_open = by_d[d].zero_slot_open
 
     stats = {
         "weight_filter_failures": 0,
@@ -285,50 +336,113 @@ def check_case(n: int, d: int) -> CaseCertificate:
     }
     survivors: list[tuple[int, ...]] = []
     near: list[NearMiss] = []
+    examined = 0
 
-    smallest = prime_divisors(n)[0]
-    # each deviation is summed sparsely from the negated identity, so only
-    # the basis positions some row touches are visited; every other
-    # coordinate is 0, which moves neither the maximum nor any test
-    for classes in patterns:
-        zeros = sum(1 for x in classes if x == 0)
-        if zeros > 1 or (zeros == 1 and n // d != smallest):
-            stats["weight_filter_failures"] += 1
-        acc = dict(neg_ident)
-        for x in classes:
-            for k, v in rows[x]:
-                acc[k] = acc.get(k, 0) + v
-        max_abs = max(map(abs, acc.values()), default=0)
+    # acc: the deviation of the classes on the search path, keyed by basis
+    # position, starting from g's character data negated (the rows of the
+    # classes of 1..d); positions no row touches stay 0, which moves
+    # neither the maximum nor any test.  The search state packs two counts
+    # over acc (see _Tally); a pattern with every |v| < d cannot break
+    # the bound, as d <= cap + 1, nor be a nonzero multiple of d, so only
+    # the others take the slow path that scans acc.
+    acc: dict[int, int] = {}
+    for i in range(1, d + 1):
+        for k, v in rows[class_rep(n, i)]:
+            acc[k] = acc.get(k, 0) - v
+    shift = len(basis).bit_length()
+    tally = _Tally(d, shift)
+    # (cell, count) -> each combination of `count` classes of the cell, with
+    # its summed sparse row and its class-0 count, built at first use
+    groups: dict[tuple[int, int], list[_Group]] = {}
+    stack: list[tuple[int, ...]] = []  # the groups on the path above the current edge
+
+    def groups_of(edge: tuple[int, int]) -> list[_Group]:
+        out = []
+        for group in combinations_with_replacement(cells[edge[0]], edge[1]):
+            row: dict[int, int] = {}
+            for x in group:
+                for k, v in rows[x]:
+                    row[k] = row.get(k, 0) + v
+            delta = tuple((k, v) for k, v in row.items() if v)
+            for k, _ in delta:
+                acc.setdefault(k, 0)
+            out.append((group, delta, group.count(0)))
+        groups[edge] = out
+        return out
+
+    def classify_slow(group: tuple[int, ...], delta: _Row, zeros: int) -> None:
+        # some |v| >= d: the bound check, then a survivor or a near miss
+        for k, v in delta:
+            acc[k] += v
+        classes = tuple(sorted(chain(*stack, group)))
+        max_abs = max(map(abs, acc.values()))
         bound = cap + 1 if zeros else cap
         if max_abs > bound:
             raise InvariantViolationError(
                 f"deviation {max_abs} exceeds bound {bound} on pattern {classes} at (n={n}, d={d})"
             )
-        if not max_abs:
-            stats["deviation_zero"] += 1
-            continue
         failing = [k for k, v in acc.items() if v % d]
         if not failing:
             stats["survivors"] += 1
             survivors.append(classes)
         else:
             stats["divisibility_failures"] += 1
-            if max_abs >= d:
-                stats["near_misses"] += 1
-                k = min(failing)
-                near.append(NearMiss(classes, max_abs, basis[k], acc[k]))
+            stats["near_misses"] += 1
+            k = min(failing)
+            near.append(NearMiss(classes, max_abs, basis[k], acc[k]))
+        for k, v in delta:
+            acc[k] -= v
+
+    def search(node: _Trie, state: int, zeros: int) -> None:
+        nonlocal examined
+        for i, c, child in node:
+            gs = groups.get((i, c)) or groups_of((i, c))
+            if child is None:
+                # a leaf per group: score it without writing to acc
+                examined += len(gs)
+                for group, delta, z in gs:
+                    s = state
+                    for k, v in delta:
+                        old = acc[k]
+                        s += tally[old + v] - tally[old]
+                    zs = zeros + z
+                    if zs > 1 or (zs and not zero_slot_open):
+                        stats["weight_filter_failures"] += 1
+                    if s >> shift:
+                        classify_slow(group, delta, zs)
+                    elif s:
+                        stats["divisibility_failures"] += 1
+                    else:
+                        stats["deviation_zero"] += 1
+                continue
+            for group, delta, z in gs:
+                s = state
+                for k, v in delta:
+                    old = acc[k]
+                    acc[k] = new = old + v
+                    s += tally[new] - tally[old]
+                stack.append(group)
+                search(child, s, zeros + z)
+                stack.pop()
+                for k, v in delta:
+                    acc[k] -= v
+
+    search(trie, sum(tally[v] for v in acc.values()), 0)
     if stats["weight_filter_failures"]:
         raise InvariantViolationError(
             f"enumeration emitted a pattern violating the class-0 slot rule at (n={n}, d={d})"
         )
+    # patterns are unique, so sorting gives the order of the pattern stream
+    survivors.sort()
+    near.sort(key=lambda nm: nm.pattern)
 
     verdict = "eliminated" if not survivors else "survivors_found"
     return CaseCertificate(
         n=n,
         d=d,
-        zero_slot_open=by_d[d].zero_slot_open,
+        zero_slot_open=zero_slot_open,
         verdict=verdict,
-        tuples_examined=len(patterns),
+        tuples_examined=examined,
         pruning_stats=stats,
         survivors=tuple(survivors),
         near_misses=tuple(near),

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 import subprocess
 import sys
 
@@ -120,6 +122,24 @@ def test_explore_eps_command(tmp_path):
     assert any(sol.get("1") == 1 and sum(sol.values()) == 1 for sol in solutions)
 
 
+def test_explore_eps_announces_its_search_size(tmp_path, capsys):
+    from itertools import product
+
+    from torunits.augment import explore_size
+
+    for n in range(3, 20, 2):
+        want = sum(1 for v in product((-1, 0, 1), repeat=n // 2) if sum(v) == 1)
+        assert explore_size(n) == want, n
+    code, _ = run_cli(["explore-eps", "--n", "15", "--m", "1"], tmp_path)
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "searching 357 augmentation vectors for order n=15\n"
+    assert "357" not in captured.out
+    # an invalid order is rejected before any search size is announced
+    assert run_cli(["explore-eps", "--n", "16"], tmp_path)[0] == 2
+    assert capsys.readouterr().err == "error: need an odd order >= 3, got 16\n"
+
+
 def test_workers_flag_changes_nothing(tmp_path):
     for argv in (["case", "--n", "45", "--d", "15"], ["verify", "--q", "31"]):
         code1, p1 = run_cli(argv + ["--workers", "1"], tmp_path, "w1.json")
@@ -205,8 +225,13 @@ def test_bound_violation_is_an_internal_error(monkeypatch, tmp_path, capsys):
     # twice and the identity classes 1, 2, 3 do not use
     rows = {**trace_coordinates(15), 7: ((0, 100),)}
     monkeypatch.setattr(helpengine, "trace_coordinates", lambda n: rows)
-    with pytest.raises(InvariantViolationError, match="exceeds bound"):
+    with pytest.raises(InvariantViolationError, match="exceeds bound") as info:
         helpengine.check_case(15, 3)
+    # the message names a real offending pattern, rebuilt from the search path
+    named = re.search(r"on pattern (\([^)]*\))", str(info.value))
+    pattern = ast.literal_eval(named.group(1))
+    assert 7 in pattern
+    assert pattern in set(helpengine.enumerate_patterns(15, 3))
     out = tmp_path / "x.json"
     code = main(["case", "--n", "15", "--d", "3", "--output", str(out)])
     assert code == 3

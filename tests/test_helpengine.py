@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -320,6 +321,26 @@ def test_check_case_matches_deviation_vector_oracle():
         assert cert.near_misses == tuple(near), (n, d)
 
 
+def test_check_case_is_symmetric_under_negated_rows(monkeypatch):
+    # negating every closed-formula row negates every deviation, so the same
+    # patterns are near misses with negated witnesses; (6, 7, 7) of (15, 3)
+    # then reaches |v| = 3 only through a negative coordinate
+    from torunits import helpengine
+    from torunits.realbasis import trace_coordinates
+
+    for n, d in ((15, 3), (15, 5), (21, 7)):
+        cert = check_case(n, d)
+        rows = {x: tuple((k, -v) for k, v in row) for x, row in trace_coordinates(n).items()}
+        monkeypatch.setattr(helpengine, "trace_coordinates", lambda m: rows)
+        flipped = helpengine.check_case(n, d)
+        monkeypatch.undo()
+        assert flipped.pruning_stats == cert.pruning_stats, (n, d)
+        assert flipped.near_misses == tuple(
+            replace(nm, deviation=-nm.deviation) for nm in cert.near_misses
+        ), (n, d)
+    assert check_case(15, 3).near_misses
+
+
 def test_check_case_rejects_inapplicable():
     with pytest.raises(CaseInapplicableError):
         check_case(27, 3)
@@ -353,6 +374,18 @@ def test_verify_order_every_small_composite_order():
         assert verdict.cases, n
         blob = json.dumps(verdict.to_json_dict(), indent=2).encode()
         assert hashlib.sha256(blob).hexdigest() == digests[str(n)], n
+
+
+def test_check_case_certificates_match_fixture():
+    # the benchmark's case draw pool: (135, 15) and (7p, 7) for primes
+    # 23 <= p <= 73, each byte-identical to the certificate recorded in
+    # tests/data/case_certificates.json
+    digests = json.loads((DATA / "case_certificates.json").read_text())
+    assert len(digests) == 14
+    for key, want in digests.items():
+        n, d = map(int, key.split(","))
+        blob = json.dumps(check_case(n, d).to_json_dict(), indent=2).encode()
+        assert hashlib.sha256(blob).hexdigest() == want, key
 
 
 def test_verify_order_prime_power_and_trivial():
