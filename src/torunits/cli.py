@@ -33,14 +33,14 @@ from torunits.helpengine import (
     check_case,
     verify_order,
 )
-from torunits.numtheory import euler_phi
+from torunits.numtheory import class_reps, euler_phi
 from torunits.psl2 import admissible_orders, group_profile
 from torunits.realbasis import (
     DecompositionError,
     basis_change_det,
-    basis_coeff,
     basis_indices,
     decompose,
+    decompose_combination,
     recompose,
 )
 
@@ -203,12 +203,12 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[list[dict], bool]:
     size_ok = len(idx) == euler_phi(n) // 2
     det_ok = det in (1, -1)
     formula_ok = True
-    for i in range(n):
+    # real_trace(n, i) == real_trace(n, n - i), so one solve per sign class
+    for i in class_reps(n):
         target = real_trace(n, i)
         oracle = decompose(target)
-        for b in idx:
-            if oracle[b] != basis_coeff(n, b, i):
-                formula_ok = False
+        if oracle.coords != decompose_combination(n, {i: 1}).coords:
+            formula_ok = False
         if recompose(oracle) != target:
             formula_ok = False
     ok = size_ok and det_ok and formula_ok

@@ -1,8 +1,10 @@
 import ast
+import hashlib
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from torunits.cli import main
 from torunits.cyclotomic import cyclotomic_poly
 from torunits.helpengine import InvariantViolationError
 from torunits.realbasis import DecompositionError
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -103,6 +107,16 @@ def test_basis_command(tmp_path):
     assert result["basis_indices"] == [1, 2, 4, 7]
     assert result["determinant"] in (1, -1)
     assert result["formula_matches_oracle"] is True
+
+
+def test_basis_reports_match_fixture(tmp_path):
+    # report bytes of basis --n N, recorded in tests/data/basis_reports.json
+    digests = json.loads((DATA / "basis_reports.json").read_text())
+    assert sorted(map(int, digests)) == [3, 15, 45, 63, 97, 101, 103, 105]
+    out = tmp_path / "report.json"
+    for n, want in digests.items():
+        assert main(["basis", "--n", n, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, n
 
 
 def test_orders_command(tmp_path):

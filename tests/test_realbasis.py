@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -136,6 +137,13 @@ def test_real_coords_validation():
         RealCoords(15, {1: 1, 2: 0, 4: 0, 7: 0, 3: 5})  # foreign index
 
 
+def test_real_trace_is_the_same_for_i_and_minus_i():
+    # why the basis command solves once per sign class, not once per residue
+    for n in range(3, 106, 2):
+        for i in range(1, n):
+            assert real_trace(n, i) == real_trace(n, n - i), (n, i)
+
+
 def test_formula_vs_oracle_all_indices_small():
     for n in (9, 15, 21, 45):
         idx = basis_indices(n)
@@ -214,3 +222,108 @@ def test_kernel_matches_leibniz_and_round_trips():
                 x = [rng.randint(-9, 9) for _ in range(size)]
                 rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
                 assert elim.solve(rhs) == x
+
+
+def test_kernel_tampered_step_is_caught():
+    elim = _Bareiss([[2, 1], [1, 1]])
+    assert elim.solve([3, 2]) == [1, 1]
+    swap, pivot, prev, mults = elim.steps[0]
+    elim.steps[0] = (swap, pivot, 3, mults)  # 3 does not divide 2 * 2 - 1 * 3
+    with pytest.raises(DecompositionError, match="inexact fraction-free step"):
+        elim.solve([3, 2])
+
+
+def _fraction_rank_and_det(rows):
+    """Rank and (for a square matrix) determinant by Gaussian elimination over Q."""
+    m = [[Fraction(a) for a in row] for row in rows]
+    ncols = len(m[0])
+    det = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            det = Fraction(0)
+            continue
+        if p != r:
+            m[p], m[r] = m[r], m[p]
+            det = -det
+        det *= m[r][c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r, (det if len(m) == ncols else None)
+
+
+def _fraction_solve(rows, rhs):
+    """Gauss-Jordan over Q of a full-column-rank system: its solution, or None if inconsistent."""
+    ncols = len(rows[0])
+    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for c in range(ncols):
+        p = next(i for i in range(c, len(aug)) if aug[i][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [a / aug[c][c] for a in aug[c]]
+        for i in range(len(aug)):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    if any(row[-1] for row in aug[ncols:]):
+        return None
+    return [aug[c][-1] for c in range(ncols)]
+
+
+def _random_system(rng):
+    """A sparse tall or square integer A = B * T; T is the identity with one entry 2, 3 or -2."""
+    ncols = rng.randint(1, 6)
+    nrows = ncols + rng.choice([0, 0, 1, 2, 3])
+    entries = [0, 0, 0, 1, -1, 2, -2, 3]
+    b = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+    t = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    t[rng.randrange(ncols)][rng.randrange(ncols)] = rng.choice([2, 3, -2])
+    a = [[sum(row[k] * t[k][j] for k in range(ncols)) for j in range(ncols)] for row in b]
+    return a, b
+
+
+def test_kernel_matches_fraction_gauss_jordan():
+    rng = random.Random(2016)
+    kinds = {"integral": 0, "non-integral": 0, "inconsistent": 0, "rank-deficient": 0}
+    branches = {"pivot other than +-1": 0, "division by a pivot other than +-1": 0, "scaled zero row": 0}
+    for _ in range(300):
+        a, b = _random_system(rng)
+        nrows, ncols = len(a), len(a[0])
+        elim = _Bareiss(a)
+        rank, det = _fraction_rank_and_det(a)
+        if det is not None:
+            assert elim.det == det, a
+        if rank < ncols:
+            kinds["rank-deficient"] += 1
+            with pytest.raises(ValueError, match="full column rank"):
+                elim.solve([0] * nrows)
+            continue
+        for _, pivot, prev, mults in elim.steps:
+            branches["pivot other than +-1"] += pivot not in (1, -1)
+            branches["division by a pivot other than +-1"] += prev not in (1, -1) and any(mults)
+            if pivot % prev == 0 and abs(pivot // prev) > 1:
+                branches["scaled zero row"] += mults.count(0)
+        x = [rng.randint(-5, 5) for _ in range(ncols)]
+        z = [rng.randint(-5, 5) for _ in range(ncols)]
+        candidates = [
+            [sum(p * q for p, q in zip(row, x)) for row in a],
+            [sum(p * q for p, q in zip(row, z)) for row in b],
+            [sum(p * q for p, q in zip(row, x)) + rng.choice([-1, 1]) for row in a],
+        ]
+        for rhs in candidates:
+            want = _fraction_solve(a, rhs)
+            if want is None:
+                kinds["inconsistent"] += 1
+                with pytest.raises(DecompositionError, match="inconsistent"):
+                    elim.solve(rhs)
+            elif all(w.denominator == 1 for w in want):
+                kinds["integral"] += 1
+                assert elim.solve(rhs) == want, (a, rhs)
+            else:
+                kinds["non-integral"] += 1
+                with pytest.raises(DecompositionError, match="non-integral"):
+                    elim.solve(rhs)
+    assert all(kinds.values()), kinds
+    assert all(branches.values()), branches
