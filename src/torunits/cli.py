@@ -19,6 +19,7 @@ failed invariant or exact solve; no report is written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="torunits",
         description="Certify rational conjugacy of odd-order torsion units in ZPSL(2,q).",

@@ -34,13 +34,15 @@ only "eliminated" carries mathematical weight.
 
 The admissible tuples are those meeting per-prime residue multisets
 (the constraints for prime c imply those for composite c).  One walk
-builds them as a trie of per-cell class counts; check_case searches it
-depth first, carrying the deviation as a sparse sum of the
-closed-formula rows of realbasis.trace_coordinates, and classifies each
-tuple when it reaches it, without listing the tuples.  It classifies in
-trie order and sorts only the survivors and near misses, in one
-process, so certificates are byte-stable.  enumerate_patterns expands
-the same trie into the sorted tuple stream the tests check against.
+builds them as a trie of per-cell class counts, memoized on the residue
+counters packed into one int, so equal subtries are built once and
+shared: the trie is a DAG.  check_case searches it depth first,
+carrying the deviation as a sparse sum of the closed-formula rows of
+realbasis.trace_coordinates, and classifies each tuple when it reaches
+it, without listing the tuples.  It classifies in trie order and sorts
+only the survivors and near misses, in one process, so certificates
+are byte-stable.  enumerate_patterns expands the same trie into the
+sorted tuple stream the tests check against.
 """
 
 from __future__ import annotations
@@ -121,7 +123,9 @@ def candidate_divisors(n: int) -> CandidateDivisors:
 
 # A node of the assignment trie is a list of edges (cell, count, child):
 # `count` classes come from cell `cell`, and child is the node for the
-# later cells, or None when the d classes are complete.
+# later cells, or None when the d classes are complete.  Equal subtries
+# are one shared object, so the trie is a DAG; nothing mutates a node
+# once it is built.
 _Trie = list[tuple[int, int, "_Trie | None"]]
 
 
@@ -136,6 +140,13 @@ def _assignment_trie(n: int, d: int) -> tuple[list[tuple[int, ...]], _Trie]:
     trie is one way to distribute the d classes over the usable cells,
     visited in order, that meets every counter exactly.  Cells taking no
     class add no edge, and subtrees with no leaf are dropped.
+
+    The subtrie below cell i depends only on i and the counters, so each
+    (i, counters) state is built once and shared by every path reaching
+    it, which makes the trie a DAG.  The counters are packed into one
+    int, d.bit_length() + 1 bits per (modulus, residue) slot, and the
+    memo is keyed by (i, packed).  The number of classes still to place
+    is implied, as the counters of each modulus sum to it.
     """
     moduli = [n // p for p in prime_divisors(n)]
     counters: list[dict[int, int]] = []
@@ -163,43 +174,58 @@ def _assignment_trie(n: int, d: int) -> tuple[list[tuple[int, ...]], _Trie]:
     # take all it still needs (`low` below), so no later cell needs it.
     if any(y not in last[mi] for mi, want in enumerate(counters) for y in want):
         return cells, []
-    # per cell, the (counter, residue) pairs it draws on, and those of
-    # them whose residue has no later cell
-    draws = [[(counters[mi], y) for mi, y in enumerate(proj)] for proj in projs]
+    # slot[mi, y]: the bit offset of counter (mi, y) in the packed state;
+    # a count never exceeds d, so `width` bits hold it with one to spare
+    width = d.bit_length() + 1
+    mask = (1 << width) - 1
+    keys = [(mi, y) for mi, want in enumerate(counters) for y in want]
+    slot = {key: width * k for k, key in enumerate(keys)}
+    packed = sum(counters[mi][y] << s for (mi, y), s in slot.items())
+    # per cell, the offsets of the counters it draws on, those of them whose
+    # residue has no later cell, and what taking one class subtracts
+    draws = [[slot[mi, y] for mi, y in enumerate(proj)] for proj in projs]
     closes = [
-        [(counters[mi], y) for mi, y in enumerate(proj) if last[mi][y] == i]
+        [slot[mi, y] for mi, y in enumerate(proj) if last[mi][y] == i]
         for i, proj in enumerate(projs)
     ]
+    unit = [sum(1 << s for s in offsets) for offsets in draws]
+    memo: dict[tuple[int, int], _Trie] = {}
 
-    def build(i: int, remaining: int) -> _Trie:
+    def build(i: int, remaining: int, packed: int) -> _Trie:
         if i == len(cells):
             return []
+        key = (i, packed)
+        edges = memo.get(key)
+        if edges is not None:
+            return edges
         high = remaining
-        for counter, y in draws[i]:
-            if counter[y] < high:
-                high = counter[y]
+        for s in draws[i]:
+            v = packed >> s & mask
+            if v < high:
+                high = v
         low = 0
-        for counter, y in closes[i]:
-            if counter[y] > low:
-                low = counter[y]
-        edges: _Trie = []
+        for s in closes[i]:
+            v = packed >> s & mask
+            if v > low:
+                low = v
+        edges = []
         for c in range(low, high + 1):
             if not c:
-                edges.extend(build(i + 1, remaining))
-                continue
-            for counter, y in draws[i]:
-                counter[y] -= c
-            if c == remaining:
+                edges.extend(build(i + 1, remaining, packed))
+            elif c == remaining:
                 edges.append((i, c, None))
             else:
-                child = build(i + 1, remaining - c)
+                child = build(i + 1, remaining - c, packed - c * unit[i])
                 if child:
                     edges.append((i, c, child))
-            for counter, y in draws[i]:
-                counter[y] += c
+        memo[key] = edges
         return edges
 
-    return cells, build(0, d)
+    trie = build(0, d, packed)
+    # build reaches itself through its closure; unbinding it breaks that
+    # cycle, so the memo is freed on return, not at the next collection
+    del build
+    return cells, trie
 
 
 def enumerate_patterns(n: int, d: int) -> Iterator[tuple[int, ...]]:
@@ -428,6 +454,7 @@ def check_case(n: int, d: int) -> CaseCertificate:
                     acc[k] -= v
 
     search(trie, sum(tally[v] for v in acc.values()), 0)
+    del search  # as in _assignment_trie: free the groups and rows on return
     if stats["weight_filter_failures"]:
         raise InvariantViolationError(
             f"enumeration emitted a pattern violating the class-0 slot rule at (n={n}, d={d})"

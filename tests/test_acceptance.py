@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the summary lines.
 """
 
+import functools
 import json
 import random
 import time
@@ -156,21 +157,33 @@ def test_end_to_end_order_verdicts():
     assert elapsed < 300
 
 
+@functools.cache
+def _class_coords(n: int, x: int) -> tuple[int, ...]:
+    # the decomposition of one real trace, solved once per class of n
+    coords = decompose(real_trace(n, x))
+    return tuple(coords[b] for b in basis_indices(n))
+
+
 def test_engine_invariants():
     t0 = time.perf_counter()
     tuples = 0
     for n, d in CASE_LEDGER:
         base = decompose(character_value(n, d, 1) - CycInt.one(n))
         idx = basis_indices(n)
-        for classes in enumerate_patterns(n, d):
+        for k, classes in enumerate(enumerate_patterns(n, d)):
             tuples += 1
             pattern = EigenPattern(n, d, classes)
             bc = bound_check(pattern)  # raises if the deviation bound is violated
             assert bc.max_abs_deviation <= bc.bound
-            elem = CycInt.zero(n)
-            for x in pattern.classes:
-                elem = elem + real_trace(n, x)
-            coords = decompose(elem)
+            # decompose is linear: a pattern's coordinates are the sum of its
+            # classes' solved coordinates; the first pattern of each case
+            # also decomposes the summed element itself
+            coords = dict(zip(idx, map(sum, zip(*(_class_coords(n, x) for x in classes)))))
+            if not k:
+                elem = CycInt.zero(n)
+                for x in pattern.classes:
+                    elem = elem + real_trace(n, x)
+                assert decompose(elem).coords == coords
             assert deviation_vector(pattern) == tuple(coords[b] - base[b] for b in idx)
 
     rng = random.Random(RANDOM_SEED)

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,14 @@ from torunits.helpengine import InvariantViolationError
 from torunits.realbasis import DecompositionError
 
 DATA = Path(__file__).parent / "data"
+
+
+def _source_tree_env():
+    # a subprocess environment that imports this torunits, not an installed one
+    import torunits
+
+    src = os.path.dirname(os.path.dirname(torunits.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -293,14 +302,53 @@ def test_failed_report_write_leaves_no_partial_file(monkeypatch, tmp_path, capsy
 def test_cli_does_not_load_the_oracles():
     # the oracles, the augmentation tools, rationals and the float routines
     # stay off the command-line path
-    import os
-
-    import torunits
-
-    src = os.path.dirname(os.path.dirname(torunits.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = _source_tree_env()
     off_path = {"torunits.oracles", "torunits.augment", "fractions", "cmath"}
     code = f"import sys, torunits.cli; print(sorted({off_path!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_calls_in_one_process_match_calls_run_alone(tmp_path):
+    # the parser is built once per process; a rejected flag must leave
+    # nothing behind that changes a later call's report, stdout or exit code
+    calls = [
+        ["basis", "--n", "15", "--workers", "2"],
+        ["basis", "--n", "15"],
+        ["case", "--n", "15", "--d", "3"],
+    ]
+    runner = """
+import contextlib, io, json, sys
+from pathlib import Path
+from torunits.cli import main
+out = []
+for k, argv in enumerate(json.loads(sys.argv[1])):
+    report = Path(sys.argv[2]) / f"r{k}.json"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv + ["--output", str(report)])
+        except SystemExit as exc:
+            code = exc.code
+    text = report.read_text() if report.exists() else None
+    out.append([code, text, stdout.getvalue().replace(str(report), "REPORT"), stderr.getvalue()])
+print(json.dumps(out))
+"""
+
+    def run(argvs, workdir):
+        workdir.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", runner, json.dumps(argvs), str(workdir)],
+            capture_output=True,
+            text=True,
+            env=_source_tree_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    together = run(calls, tmp_path / "together")
+    alone = [run([argv], tmp_path / f"alone{k}")[0] for k, argv in enumerate(calls)]
+    assert together == alone
+    assert [code for code, *_ in together] == [2, 0, 0]
+    assert together[0][1] is None and "unrecognized arguments" in together[0][3]

@@ -6,6 +6,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torunits.augment import (
     AugVector,
@@ -187,6 +189,151 @@ def test_enumerate_patterns_is_complete():
                 want.add(p.classes)
         got = set(enumerate_patterns(n, d))
         assert got == want, (n, d)
+
+
+def _reference_trie(n, d):
+    # the assignment-trie walk before memoization: a plain recursion over
+    # residue-counter dicts, with no state shared between calls
+    moduli = [n // p for p in prime_divisors(n)]
+    counters = []
+    for m in moduli:
+        want = {}
+        for i in range(1, d + 1):
+            y = class_rep(m, i)
+            want[y] = want.get(y, 0) + 1
+        counters.append(want)
+    by_proj = {}
+    for x in class_reps(n):
+        proj = tuple(class_rep(m, x) for m in moduli)
+        if all(y in counter for counter, y in zip(counters, proj)):
+            by_proj.setdefault(proj, []).append(x)
+    projs = sorted(by_proj)
+    cells = [tuple(by_proj[proj]) for proj in projs]
+    last = [{} for _ in moduli]
+    for i, proj in enumerate(projs):
+        for mi, y in enumerate(proj):
+            last[mi][y] = i
+    if any(y not in last[mi] for mi, want in enumerate(counters) for y in want):
+        return cells, []
+    draws = [[(counters[mi], y) for mi, y in enumerate(proj)] for proj in projs]
+    closes = [
+        [(counters[mi], y) for mi, y in enumerate(proj) if last[mi][y] == i]
+        for i, proj in enumerate(projs)
+    ]
+
+    def build(i, remaining):
+        if i == len(cells):
+            return []
+        high = remaining
+        for counter, y in draws[i]:
+            if counter[y] < high:
+                high = counter[y]
+        low = 0
+        for counter, y in closes[i]:
+            if counter[y] > low:
+                low = counter[y]
+        edges = []
+        for c in range(low, high + 1):
+            if not c:
+                edges.extend(build(i + 1, remaining))
+                continue
+            for counter, y in draws[i]:
+                counter[y] -= c
+            if c == remaining:
+                edges.append((i, c, None))
+            else:
+                child = build(i + 1, remaining - c)
+                if child:
+                    edges.append((i, c, child))
+            for counter, y in draws[i]:
+                counter[y] += c
+        return edges
+
+    return cells, build(0, d)
+
+
+def _trie_paths(node, prefix=()):
+    # every root-to-leaf sequence of (cell, count) edges, in trie order
+    for i, c, child in node:
+        path = prefix + ((i, c),)
+        if child is None:
+            yield path
+        else:
+            yield from _trie_paths(child, path)
+
+
+def _odd_composites(below):
+    from torunits.psl2 import is_prime_power
+
+    return [n for n in range(15, below, 2) if not is_prime_power(n)]
+
+
+def test_assignment_trie_matches_the_reference_builder():
+    from torunits.helpengine import _assignment_trie
+
+    largest = 0
+    for n in _odd_composites(400):
+        for d in candidate_divisors(n).retained_ds:
+            largest = max(largest, d)
+            cells, trie = _assignment_trie(n, d)
+            ref_cells, ref_trie = _reference_trie(n, d)
+            assert cells == ref_cells, (n, d)
+            # equal nested edge lists: the same (cell, count) paths, in order
+            assert trie == ref_trie, (n, d)
+            # the packed state gives each counter d.bit_length() + 1 bits;
+            # a counter starts at its residue's count among 1..d and only falls
+            for p in prime_divisors(n):
+                counts = [class_rep(n // p, i) for i in range(1, d + 1)]
+                assert max(map(counts.count, counts)) < 2 ** (d.bit_length() + 1) // 2
+    assert largest == 15
+
+
+def test_assignment_trie_shares_equal_subtries():
+    # (75, 15): the memo builds each (cell, counters) state once, so the DAG
+    # holds far fewer distinct nodes than the tree it stands for
+    from torunits.helpengine import _assignment_trie
+
+    def count(node, seen):
+        if node is not None and id(node) not in seen:
+            seen.add(id(node))
+            for _, _, child in node:
+                count(child, seen)
+        return len(seen)
+
+    def tree_size(node):
+        return 1 + sum(tree_size(child) for _, _, child in node if child is not None)
+
+    _, trie = _assignment_trie(75, 15)
+    _, ref = _reference_trie(75, 15)
+    assert tree_size(trie) == tree_size(ref)
+    assert count(trie, set()) * 10 < tree_size(trie)
+
+
+def test_pattern_streams_match_fixture():
+    # sha256 of repr(list(enumerate_patterns(n, d))) for every odd composite
+    # n <= 200 and every retained d, recorded in tests/data/pattern_streams.json
+    digests = json.loads((DATA / "pattern_streams.json").read_text())
+    keys = [f"{n},{d}" for n in _odd_composites(201) for d in candidate_divisors(n).retained_ds]
+    assert sorted(digests) == sorted(keys)
+    for key, want in digests.items():
+        n, d = map(int, key.split(","))
+        blob = repr(list(enumerate_patterns(n, d))).encode()
+        assert hashlib.sha256(blob).hexdigest() == want, key
+
+
+_ORDERS_WITH_CASES = [n for n in _odd_composites(600) if candidate_divisors(n).retained]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_assignment_trie_matches_the_reference_builder_property(data):
+    from torunits.helpengine import _assignment_trie
+
+    n = data.draw(st.sampled_from(_ORDERS_WITH_CASES), label="n")
+    d = data.draw(st.sampled_from(candidate_divisors(n).retained_ds), label="d")
+    _, trie = _assignment_trie(n, d)
+    _, ref = _reference_trie(n, d)
+    assert list(_trie_paths(trie)) == list(_trie_paths(ref))
 
 
 def test_enumerate_patterns_21_3_zero_count():
