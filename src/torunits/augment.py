@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from typing import Mapping, Sequence
 
-from torunits.cyclotomic import CycInt, rational_trace
+from torunits.cyclotomic import CycInt, _fold_pairs, rational_trace
 from torunits.numtheory import class_rep, class_reps, divisors
 from torunits.psl2 import character_value
 
@@ -55,13 +56,7 @@ class AugVector:
 
 def unit_trace(eps: AugVector, i: int) -> CycInt:
     """sum_x eps[x] * (zeta^(i*x) + zeta^(-i*x)): the implied real trace value."""
-    n = eps.n
-    coeffs = [0] * n
-    for x, c in eps.eps.items():
-        if c:
-            coeffs[(i * x) % n] += c
-            coeffs[(-i * x) % n] += c
-    return CycInt(n, coeffs)
+    return CycInt(eps.n, _fold_pairs(eps.eps.items(), i, eps.n))
 
 
 def augmentations_from_traces(traces: Sequence[CycInt], n: int) -> AugVector:
@@ -75,19 +70,17 @@ def augmentations_from_traces(traces: Sequence[CycInt], n: int) -> AugVector:
     """
     if len(traces) != n:
         raise ValueError(f"expected {n} trace values, got {len(traces)}")
-    raws = []
+    doubled = []
     for i, t in enumerate(traces):
         if not isinstance(t, CycInt) or t.n != n:
             raise ValueError(f"trace {i} is not an element of the order-{n} ring")
-        raws.append(t.coeffs)
+        doubled.append(t.coeffs * 2)
     E = [0] * n
     for j in range(n):
-        acc = [0] * n
-        for i, raw in enumerate(raws):
-            k = (i * j) % n
-            shifted = raw[k:] + raw[:k]
-            acc = [a + b for a, b in zip(acc, shifted)]
-        red = CycInt(n, acc).reduced
+        # sum_i traces[i] * zeta^(-i*j), by columns: trace i shifted down by
+        # i*j is a window of its doubled coefficients, so nothing is copied
+        windows = [islice(row, i * j % n, i * j % n + n) for i, row in enumerate(doubled)]
+        red = CycInt(n, map(sum, zip(*windows))).reduced
         if any(red[1:]):
             raise ValueError(f"trace data is inconsistent: component {j} is not rational")
         if red[0] % n:

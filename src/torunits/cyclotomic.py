@@ -12,6 +12,11 @@ computes the same tuple), so instances may be shared across threads.
 
 All coefficients are arbitrary-precision Python integers; cyclotomic
 polynomials are obtained by exact division, never numerically.
+
+Three private primitives on coefficient lists carry this arithmetic,
+and that of divisibility, realbasis and augment: _fold (sum c_j X^(s*j)
+modulo X^m - 1), _convolve (the product) and _long_divide (quotient
+and remainder).  _fold_pairs is the fold of sign-class data.
 """
 
 from __future__ import annotations
@@ -28,6 +33,73 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+# -- the polynomial core: coefficient lists, lowest degree first -------
+
+
+def _fold(coeffs: Iterable[int], s: int, m: int) -> list[int]:
+    """The m coefficients of sum_j coeffs[j] X^(s*j) modulo X^m - 1."""
+    out = [0] * m
+    for j, c in enumerate(coeffs):
+        if c:
+            out[s * j % m] += c
+    return out
+
+
+def _fold_pairs(terms: Iterable[tuple[int, int]], s: int, m: int) -> list[int]:
+    """The m coefficients of sum c * (X^(s*x) + X^(-s*x)) modulo X^m - 1 over the pairs (x, c).
+
+    This is the fold of sign-class data: a class x stands for the pair
+    of exponents +-x, and the class 0 (both exponents 0) counts twice.
+    """
+    out = [0] * m
+    for x, c in terms:
+        out[s * x % m] += c
+        out[-s * x % m] += c
+    return out
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of the product of a and b; empty when either is."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
+def _long_divide(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by den over Z, by schoolbook long division.
+
+    den must end in a nonzero coefficient; the remainder has exactly
+    len(den) - 1 coefficients.  A quotient coefficient that is not an
+    integer raises ValueError.  A monic divisor takes each quotient
+    coefficient as it stands, with no divmod.
+    """
+    dd = len(den) - 1
+    lead = den[-1]
+    terms = [(j, c) for j, c in enumerate(den[:dd]) if c]
+    rem = list(num)
+    quot = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            if lead != 1:
+                c, r = divmod(c, lead)
+                if r:
+                    raise ValueError("inexact polynomial division")
+            off = i - dd
+            quot[off] = c
+            for j, dc in terms:
+                rem[off + j] -= c * dc
+    del rem[dd:]
+    rem.extend([0] * (dd - len(rem)))
+    return quot, rem
 
 
 class IntPoly:
@@ -69,42 +141,13 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly(_convolve(self.coeffs, other.coeffs))
 
     def divide_exact(self, divisor: "IntPoly") -> "IntPoly":
         """Quotient self / divisor; raises unless the division is exact over Z."""
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dcs = divisor.coeffs
-        dd = len(dcs) - 1
-        lead = dcs[-1]
-        qn = len(rem) - dd
-        if qn <= 0:
-            if any(rem):
-                raise ValueError("inexact polynomial division")
-            return IntPoly()
-        quot = [0] * qn
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q, r = divmod(c, lead)
-            if r:
-                raise ValueError("inexact polynomial division")
-            quot[i - dd] = q
-            off = i - dd
-            for j, dc in enumerate(dcs):
-                if dc:
-                    rem[off + j] -= q * dc
+        quot, rem = _long_divide(self.coeffs, divisor.coeffs)
         if any(rem):
             raise ValueError("inexact polynomial division: nonzero remainder")
         return IntPoly(quot)
@@ -115,10 +158,7 @@ class IntPoly:
             raise ValueError(f"need s >= 1, got {s}")
         if self.is_zero:
             return self
-        out = [0] * (s * self.degree + 1)
-        for i, c in enumerate(self.coeffs):
-            out[s * i] = c
-        return IntPoly(out)
+        return IntPoly(_fold(self.coeffs, s, s * self.degree + 1))
 
 
 @lru_cache(maxsize=None)
@@ -145,25 +185,6 @@ def cyclotomic_poly(m: int) -> IntPoly:
     if not out.is_monic or out.degree != euler_phi(m):
         raise ArithmeticError(f"cyclotomic polynomial computation failed for m={m}")
     return out
-
-
-def _reduce_mod_cyclotomic(raw: Sequence[int], n: int) -> tuple[int, ...]:
-    """Remainder of sum(raw[j] X^j) modulo the n-th cyclotomic polynomial."""
-    phi = cyclotomic_poly(n).coeffs
-    deg = len(phi) - 1
-    rem = list(raw)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = 0
-            off = i - deg
-            for j in range(deg):
-                pj = phi[j]
-                if pj:
-                    rem[off + j] -= c * pj
-    rem = rem[:deg]
-    rem.extend([0] * (deg - len(rem)))
-    return tuple(rem)
 
 
 class CycInt:
@@ -213,7 +234,7 @@ class CycInt:
         """Coordinates in the power basis 1, zeta, ..., zeta^(phi(n)-1)."""
         r = self._reduced
         if r is None:
-            r = _reduce_mod_cyclotomic(self._coeffs, self.n)
+            r = tuple(_long_divide(self._coeffs, cyclotomic_poly(self.n).coeffs)[1])
             self._reduced = r  # idempotent: all writers compute the same tuple
         return r
 
@@ -246,14 +267,7 @@ class CycInt:
         if isinstance(other, int):
             return CycInt(self.n, [other * a for a in self._coeffs])
         self._check_same_ring(other)
-        n = self.n
-        out = [0] * n
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    if b:
-                        out[(i + j) % n] += a * b
-        return CycInt(n, out)
+        return CycInt(self.n, _fold(_convolve(self._coeffs, other._coeffs), 1, self.n))
 
     def __rmul__(self, other: int) -> "CycInt":
         if not isinstance(other, int):
@@ -275,11 +289,7 @@ class CycInt:
         n = self.n
         if gcd(s, n) != 1:
             raise ValueError(f"{s} is not invertible modulo {n}")
-        out = [0] * n
-        for j, c in enumerate(self._coeffs):
-            if c:
-                out[(s * j) % n] += c
-        return CycInt(n, out)
+        return CycInt(n, _fold(self._coeffs, s, n))
 
     def conjugate(self) -> "CycInt":
         return self.galois(self.n - 1) if self.n > 1 else self
@@ -299,11 +309,7 @@ def eval_at_root(f: IntPoly, n: int) -> CycInt:
     """The value f(zeta_n), exponents folded mod n."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    coeffs = [0] * n
-    for j, c in enumerate(f.coeffs):
-        if c:
-            coeffs[j % n] += c
-    return CycInt(n, coeffs)
+    return CycInt(n, _fold(f.coeffs, 1, n))
 
 
 def real_trace(n: int, x: int) -> CycInt:
@@ -313,10 +319,7 @@ def real_trace(n: int, x: int) -> CycInt:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need an odd modulus >= 3, got {n}")
-    coeffs = [0] * n
-    coeffs[x % n] += 1
-    coeffs[-x % n] += 1
-    return CycInt(n, coeffs)
+    return CycInt(n, _fold_pairs(((x, 1),), 1, n))
 
 
 def rational_trace(a: CycInt) -> int:

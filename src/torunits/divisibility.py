@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Sequence
 
-from torunits.cyclotomic import CycInt, IntPoly, cyclotomic_poly, eval_at_root
+from torunits.cyclotomic import CycInt, IntPoly, _fold, _fold_pairs, cyclotomic_poly, eval_at_root
 from torunits.numtheory import class_reps, factorize, is_prime
 from torunits.realbasis import decompose
 
@@ -60,11 +60,7 @@ class PowerSums:
 
     def value(self, i: int) -> CycInt:
         """w(i) = sum_j A_j zeta_n^(i*j) over the full modulus n."""
-        out = [0] * self.n
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[(i * j) % self.n] += c
-        return CycInt(self.n, out)
+        return CycInt(self.n, _fold(self.coeffs, i, self.n))
 
     def _folded_value(self, i: int) -> CycInt:
         # zeta_n^i is a primitive (n/g)-th root for g = gcd(i, n); folding
@@ -72,12 +68,7 @@ class PowerSums:
         # the same membership (the smaller ring is integrally closed).
         g = gcd(i, self.n)
         m = self.n // g
-        out = [0] * m
-        s = (i // g) % m
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[(s * j) % m] += c
-        return CycInt(m, out)
+        return CycInt(m, _fold(self.coeffs, i // g, m))
 
 
 @dataclass(frozen=True)
@@ -107,11 +98,7 @@ def fold_class_vector(n: int, B: Mapping[int, int]) -> tuple[int, ...]:
     its trace coincide there.
     """
     _check_class_data(n, B)
-    A = [0] * n
-    for x, c in B.items():
-        A[x % n] += c
-        A[-x % n] += c
-    return tuple(A)
+    return tuple(_fold_pairs(B.items(), 1, n))
 
 
 def check_vanishing_real(n: int, B: Mapping[int, int], d: int) -> VanishingVerdict:
@@ -150,10 +137,7 @@ def recipe_instance(n: int, d: int, rng, max_coeff: int = 9) -> PowerSums:
     k = n // d
     for q in prime_power_divisors(d):
         f = f * cyclotomic_poly(k * q)
-    A = [0] * n
-    for j, c in enumerate(f.coeffs):
-        A[j % n] += c
-    return PowerSums(n, tuple(A), d)
+    return PowerSums(n, tuple(_fold(f.coeffs, 1, n)), d)
 
 
 def fold_to_classes(n: int, A: Sequence[int]) -> dict[int, int]:

@@ -251,6 +251,7 @@ def enumerate_patterns(n: int, d: int) -> Iterator[tuple[int, ...]]:
                     expand(child, prefix + group)
 
     expand(trie, ())
+    del expand  # as in _assignment_trie: free the trie on return
     patterns.sort()
     yield from patterns
 

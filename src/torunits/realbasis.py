@@ -35,7 +35,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Mapping, Sequence
 
-from torunits.cyclotomic import CycInt, real_trace
+from torunits.cyclotomic import CycInt, _fold_pairs, real_trace
 from torunits.numtheory import (
     basis_exponents,
     class_rep,
@@ -148,12 +148,7 @@ def decompose(x: CycInt) -> RealCoords:
 
 def recompose(e: RealCoords) -> CycInt:
     """The element sum(coords[b] * real_trace(n, b))."""
-    n = e.n
-    coeffs = [0] * n
-    for b, c in e.coords.items():
-        coeffs[b % n] += c
-        coeffs[-b % n] += c
-    return CycInt(n, coeffs)
+    return CycInt(e.n, _fold_pairs(e.coords.items(), 1, e.n))
 
 
 def basis_change_det(n: int) -> int:

@@ -1,11 +1,18 @@
 import cmath
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torunits.cyclotomic import (
     CycInt,
     IntPoly,
+    _convolve,
+    _fold,
+    _fold_pairs,
+    _long_divide,
     cyclotomic_poly,
     eval_at_root,
     rational_trace,
@@ -30,6 +37,200 @@ def poly_remainder(num, den):
     rem = rem[:dd]
     rem.extend([0] * (dd - len(rem)))
     return tuple(rem)
+
+
+# -- the polynomial core against the loops it replaced ------------------
+# Each reference is a copy of one of the hand-written loops that _fold,
+# _fold_pairs, _convolve and _long_divide replaced.
+
+
+def ref_scatter(coeffs, s, m):
+    # PowerSums.value / _folded_value, CycInt.galois, eval_at_root
+    out = [0] * m
+    for j, c in enumerate(coeffs):
+        if c:
+            out[(s * j) % m] += c
+    return out
+
+
+def ref_pairs(terms, s, m):
+    # unit_trace; fold_class_vector and recompose are the case s = 1
+    out = [0] * m
+    for x, c in terms:
+        if c:
+            out[(s * x) % m] += c
+            out[(-s * x) % m] += c
+    return out
+
+
+def ref_product(a, b):
+    # IntPoly.__mul__
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def ref_cyclic_product(a, b, n):
+    # CycInt.__mul__
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % n] += x * y
+    return out
+
+
+def ref_divide(num, den):
+    # IntPoly.divide_exact without its final remainder check
+    rem = list(num)
+    dd = len(den) - 1
+    lead = den[-1]
+    quot = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        q, r = divmod(c, lead)
+        if r:
+            raise ValueError("inexact polynomial division")
+        quot[i - dd] = q
+        for j, dc in enumerate(den):
+            if dc:
+                rem[i - dd + j] -= q * dc
+    rem = rem[:dd]
+    rem.extend([0] * (dd - len(rem)))
+    return quot, rem
+
+
+def ref_reduce(raw, n):
+    # _reduce_mod_cyclotomic
+    phi = cyclotomic_poly(n).coeffs
+    deg = len(phi) - 1
+    rem = list(raw)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            rem[i] = 0
+            off = i - deg
+            for j in range(deg):
+                pj = phi[j]
+                if pj:
+                    rem[off + j] -= c * pj
+    rem = rem[:deg]
+    rem.extend([0] * (deg - len(rem)))
+    return tuple(rem)
+
+
+def random_coeffs(rng, length, zeros=0.4, spread=9):
+    # signed and sparse, ending in a run of zeros about a third of the time
+    out = [0 if rng.random() < zeros else rng.randint(-spread, spread) for _ in range(length)]
+    if rng.random() < 0.3:
+        k = min(length, rng.randint(1, 4))
+        out[length - k :] = [0] * k
+    return out
+
+
+def test_fold_matches_the_scatter_loops():
+    rng = random.Random(11)
+    for _ in range(600):
+        m = rng.choice([1, 2, 3, 5, 6, 9, 12, 15, 21, 45])
+        s = rng.choice([0, 1, -1, m, 2 * m + 1, rng.randint(-60, 60), 3, 5])
+        coeffs = random_coeffs(rng, rng.randint(0, 3 * m + 2))
+        assert _fold(coeffs, s, m) == ref_scatter(coeffs, s, m), (coeffs, s, m)
+        terms = [(rng.randint(0, m), rng.randint(-4, 4)) for _ in range(rng.randint(0, 6))]
+        assert _fold_pairs(terms, s, m) == ref_pairs(terms, s, m), (terms, s, m)
+    # s = 0 and s not coprime to m collapse exponents; m = 1 sums everything
+    assert _fold([1, 2, 3], 0, 4) == [6, 0, 0, 0]
+    assert _fold([1, 2, 3, 4], 2, 4) == [4, 0, 6, 0]
+    assert _fold([5, -2, 0, 7], 3, 1) == [10]
+    assert _fold_pairs([(0, 1), (2, 3)], 1, 5) == [2, 0, 3, 3, 0]
+
+
+def test_convolve_matches_the_product_loops():
+    rng = random.Random(12)
+    for _ in range(400):
+        a = random_coeffs(rng, rng.randint(0, 20))
+        b = random_coeffs(rng, rng.randint(0, 20))
+        assert _convolve(a, b) == ref_product(a, b), (a, b)
+        n = rng.randint(1, 30)
+        a, b = random_coeffs(rng, n), random_coeffs(rng, n)
+        assert _fold(_convolve(a, b), 1, n) == ref_cyclic_product(a, b, n), (a, b)
+    assert _convolve([], [1, 2]) == _convolve([1, 2], []) == []
+    assert _convolve([0, 0], [0, 3]) == [0, 0, 0]
+
+
+def test_long_divide_matches_the_division_loops():
+    rng = random.Random(13)
+    kinds = {"non-monic, integral": 0, "inexact": 0}
+    for _ in range(600):
+        den = random_coeffs(rng, rng.randint(1, 8)) + [rng.choice([1, 1, -1, 2, -3])]
+        num = random_coeffs(rng, rng.randint(0, 24))
+        try:
+            want = ref_divide(num, den)
+        except ValueError:
+            kinds["inexact"] += 1
+            with pytest.raises(ValueError, match="inexact"):
+                _long_divide(num, den)
+            continue
+        kinds["non-monic, integral"] += den[-1] not in (1, -1)
+        assert _long_divide(num, den) == want, (num, den)
+    assert all(kinds.values()), kinds
+    # a non-monic divisor that divides exactly, and one that does not
+    den = [3, 0, 2]
+    assert _long_divide(_convolve([1, -1, 4], den), den) == ([1, -1, 4], [0, 0])
+    with pytest.raises(ValueError, match="inexact"):
+        _long_divide([1, 0, 0, 1], den)
+    for n in (1, 2, 7, 15, 24, 45, 105):
+        for _ in range(10):
+            raw = random_coeffs(rng, rng.randint(0, 2 * n))
+            assert tuple(_long_divide(raw, cyclotomic_poly(n).coeffs)[1]) == ref_reduce(raw, n)
+
+
+# -- ring laws ---------------------------------------------------------
+
+
+@st.composite
+def ring_elements(draw, count):
+    n = draw(st.integers(1, 36), label="n")
+    elems = [
+        CycInt(n, draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+        for _ in range(count)
+    ]
+    return n, elems
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_elements(3))
+def test_mul_is_commutative_associative_and_distributive(drawn):
+    _, (a, b, c) = drawn
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_elements(2), st.data())
+def test_galois_is_a_ring_homomorphism(drawn, data):
+    n, (a, b) = drawn
+    s = data.draw(st.sampled_from([s for s in range(1, n + 1) if gcd(s, n) == 1]), label="s")
+    assert (a + b).galois(s) == a.galois(s) + b.galois(s)
+    assert (a * b).galois(s) == a.galois(s) * b.galois(s)
+    assert CycInt.one(n).galois(s) == CycInt.one(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_elements(2))
+def test_cyclic_product_is_the_polynomial_product_reduced(drawn):
+    n, (a, b) = drawn
+    prod = IntPoly(a.coeffs) * IntPoly(b.coeffs)
+    assert (a * b).reduced == poly_remainder(prod.coeffs, cyclotomic_poly(n).coeffs)
 
 
 # -- cyclotomic polynomials -------------------------------------------

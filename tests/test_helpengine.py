@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -334,6 +335,20 @@ def test_assignment_trie_matches_the_reference_builder_property(data):
     _, trie = _assignment_trie(n, d)
     _, ref = _reference_trie(n, d)
     assert list(_trie_paths(trie)) == list(_trie_paths(ref))
+
+
+def test_enumerate_patterns_and_check_case_leave_no_cycles():
+    # their self-recursive closures are unbound on return, so with automatic
+    # collection off nothing they built is left for the collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(enumerate_patterns(75, 15))) == 20412
+        assert gc.collect() == 0
+        check_case(75, 15)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_patterns_21_3_zero_count():
