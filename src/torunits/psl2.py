@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from torunits.cyclotomic import CycInt
+from torunits.cyclotomic import CycInt, _fold_pairs
 from torunits.numtheory import class_rep, divisors, factorize
 
 
@@ -82,9 +82,8 @@ def character_value(n: int, m: int, i: int) -> CycInt:
         raise ValueError(f"need an odd modulus, got {n}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    coeffs = [0] * n
-    for j in range(-m, m + 1):
-        coeffs[(i * j) % n] += 1
+    coeffs = _fold_pairs(((j, 1) for j in range(1, m + 1)), i, n)
+    coeffs[0] += 1
     return CycInt(n, coeffs)
 
 

@@ -121,7 +121,7 @@ def test_basis_command(tmp_path):
 def test_basis_reports_match_fixture(tmp_path):
     # report bytes of basis --n N, recorded in tests/data/basis_reports.json
     digests = json.loads((DATA / "basis_reports.json").read_text())
-    assert sorted(map(int, digests)) == [3, 15, 45, 63, 97, 101, 103, 105]
+    assert sorted(map(int, digests)) == [3, 15, 45, 63, 97, 101, 103, 105, 121, 165, 255]
     out = tmp_path / "report.json"
     for n, want in digests.items():
         assert main(["basis", "--n", n, "--output", str(out)]) == 0
@@ -238,6 +238,25 @@ def test_internal_error_has_its_own_exit_code(error, monkeypatch, tmp_path, caps
     assert code == 3
     assert not out.exists()
     assert capsys.readouterr().err.startswith("internal error: deviation exceeds bound")
+
+
+def test_wrong_basis_change_row_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    from torunits import realbasis
+
+    honest = realbasis._chebyshev_rows
+
+    def tampered(n):
+        rows = honest(n)
+        rows[-1][-1] -= 1
+        return rows
+
+    monkeypatch.setattr(realbasis, "_chebyshev_rows", tampered)
+    out = tmp_path / "x.json"
+    code = main(["basis", "--n", "15", "--output", str(out)])
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: the Chebyshev row of basis element 7 over n=15")
 
 
 def test_bound_violation_is_an_internal_error(monkeypatch, tmp_path, capsys):

@@ -115,3 +115,19 @@ def test_multiplicity_matches_unfolded_eigenvalues():
 def test_is_prime_power():
     assert is_prime_power(27) and is_prime_power(7)
     assert not is_prime_power(1) and not is_prime_power(15)
+
+
+def _character_value_by_scatter(n, m, i):
+    # the scatter loop character_value used before it became a _fold_pairs
+    coeffs = [0] * n
+    for j in range(-m, m + 1):
+        coeffs[(i * j) % n] += 1
+    return CycInt(n, coeffs)
+
+
+def test_character_value_matches_the_scatter_loop():
+    for n in range(1, 46, 2):
+        for m in range(1, 7):
+            for i in range(-n, 2 * n + 1):
+                want = _character_value_by_scatter(n, m, i)
+                assert character_value(n, m, i).coeffs == want.coeffs, (n, m, i)

@@ -4,7 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from torunits.cyclotomic import CycInt, real_trace
+from torunits import realbasis
+from torunits.cyclotomic import CycInt, IntPoly, cyclotomic_poly, real_trace
 from torunits.numtheory import (
     basis_exponents,
     class_reps,
@@ -18,6 +19,7 @@ from torunits.realbasis import (
     DecompositionError,
     RealCoords,
     _Bareiss,
+    _chebyshev_rows,
     basis_change_det,
     basis_coeff,
     basis_indices,
@@ -116,6 +118,67 @@ def test_coords_round_trip_on_basis():
 def test_change_of_basis_det_is_unimodular_sample():
     for n in (9, 15, 21, 25, 45, 63, 75):
         assert basis_change_det(n) in (1, -1), n
+
+
+def _power_solver(n):
+    """Elimination of the system whose columns are reduced powers of real_trace(n, 1)."""
+    powers = [CycInt.one(n)]
+    a = real_trace(n, 1)
+    for _ in range(len(basis_indices(n)) - 1):
+        powers.append(powers[-1] * a)
+    return _Bareiss(list(zip(*(p.reduced for p in powers))))
+
+
+def _power_basis_det(n):
+    """The determinant over the power basis 1, a, ..., a^(N-1): one solve per basis element."""
+    solver = _power_solver(n)
+    return _Bareiss([solver.solve(real_trace(n, b).reduced) for b in basis_indices(n)]).det
+
+
+def test_change_of_basis_det_matches_the_power_basis_route():
+    for n in range(3, 156, 2):
+        assert basis_change_det(n) == _power_basis_det(n), n
+
+
+def test_chebyshev_rows_recompose_to_the_basis_elements():
+    for n in range(3, 400, 2):
+        size = euler_phi(n) // 2
+        for b, row in zip(basis_indices(n), _chebyshev_rows(n)):
+            assert len(row) == size
+            if b < size:
+                assert row == [int(k == b) for k in range(size)], (n, b)
+            # row[0] + sum row[k] * (zeta^k + zeta^-k) - (zeta^b + zeta^-b) must be 0
+            coeffs = [0] * n
+            coeffs[0] = row[0]
+            for k in range(1, size):
+                coeffs[k] += row[k]
+                coeffs[n - k] += row[k]
+            coeffs[b] -= 1
+            coeffs[n - b] -= 1
+            assert CycInt(n, coeffs).is_zero(), (n, b)
+
+
+def test_wrong_t_n_coefficient_is_caught(monkeypatch):
+    # Phi_15 = 1 - X + X^3 - X^4 + X^5 - X^7 + X^8; N = 4, so t_4 reads c_4..c_7
+    # and the basis indices 4 and 7 of n = 15 are reached through it
+    coeffs = list(cyclotomic_poly(15).coeffs)
+    coeffs[5] += 1
+    monkeypatch.setattr(realbasis, "cyclotomic_poly", lambda m: IntPoly(coeffs))
+    with pytest.raises(DecompositionError, match="basis element 4 over n=15"):
+        basis_change_det(15)
+
+
+def test_wrong_chebyshev_row_is_caught(monkeypatch):
+    honest = realbasis._chebyshev_rows
+
+    def tampered(n):
+        rows = honest(n)
+        rows[-1][0] += 1
+        return rows
+
+    monkeypatch.setattr(realbasis, "_chebyshev_rows", tampered)
+    with pytest.raises(DecompositionError, match="basis element 7 over n=15"):
+        basis_change_det(15)
 
 
 def test_expansion_identity_sample():
