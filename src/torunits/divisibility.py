@@ -17,7 +17,8 @@ in the distinguished basis divisible by d).
 
 Membership in p*Z[zeta_n] is decided on reduced power-basis
 coordinates, membership in the real subring on distinguished-basis
-coordinates; both are exact integer divisibility tests.
+coordinates from the closed formula; both are exact integer
+divisibility tests.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Mapping, Sequence
 
 from torunits.cyclotomic import CycInt, IntPoly, _fold, _fold_pairs, cyclotomic_poly, eval_at_root
 from torunits.numtheory import class_reps, factorize, is_prime
-from torunits.realbasis import decompose
+from torunits.realbasis import decompose_combination
 
 
 def cyclotomic_value_divisible(n: int, p: int, m: int) -> bool:
@@ -112,7 +113,8 @@ def check_vanishing_real(n: int, B: Mapping[int, int], d: int) -> VanishingVerdi
     # fold_class_vector checks the keys of B, PowerSums that d divides n
     inst = PowerSums(n, fold_class_vector(n, B), d)
     hyp = all(inst.value(d // q).is_zero() for q in prime_power_divisors(d))
-    coords = decompose(inst.value(d))
+    # w(d) = sum_x B_x * real_trace(n, d*x): its coordinates are a sum of closed-formula rows
+    coords = decompose_combination(n, {d * x: c for x, c in B.items()})
     concl = all(v % d == 0 for v in coords.coords.values())
     return VanishingVerdict(hyp, concl)
 

@@ -6,7 +6,9 @@ quantities another way, for tests and for anyone re-checking a
 certificate: patterns are wrapped in a validating EigenPattern, the power
 constraints are tested for every divisor of n (not only the primes),
 and deviation vectors are dense sums through
-realbasis.decompose_combination.  Nothing on the command-line path
+realbasis.decompose_combination.  decompose finds the coordinates of
+any real element by an exact solve in the power basis of Z[zeta_n],
+using nothing of the closed formula.  Nothing on the command-line path
 imports this module.
 """
 
@@ -14,10 +16,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
+from torunits.cyclotomic import CycInt, real_trace
 from torunits.helpengine import InvariantViolationError
 from torunits.numtheory import class_rep, divisors, prime_count, prime_divisors
-from torunits.realbasis import basis_indices, decompose_combination
+from torunits.realbasis import (
+    DecompositionError,
+    RealCoords,
+    _Bareiss,
+    basis_indices,
+    decompose_combination,
+)
 
 
 @dataclass(frozen=True)
@@ -121,11 +131,40 @@ def weight_consistent(pattern: EigenPattern) -> bool:
     return pattern.n // pattern.d == prime_divisors(pattern.n)[0]
 
 
+def decompose(x: CycInt) -> RealCoords:
+    """Coordinates of a real element, by exact linear solve in the power basis.
+
+    This is the generic route: it uses nothing but the reduced forms of
+    the basis elements, so it serves as an independent oracle for
+    decompose_combination / basis_coeff.
+    """
+    n = x.n
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"need an odd modulus >= 3, got {n}")
+    if not x.is_real():
+        raise ValueError("element is not fixed by inversion, cannot decompose")
+    try:
+        sol = _basis_solver(n).solve(x.reduced)
+    except DecompositionError as exc:
+        raise DecompositionError(
+            f"no integral coordinates over n={n} ({exc}); "
+            "this contradicts the integral basis property"
+        ) from exc
+    return RealCoords(n, dict(zip(basis_indices(n), sol)))
+
+
+@lru_cache(maxsize=None)
+def _basis_solver(n: int) -> _Bareiss:
+    """Elimination of the system whose columns are reduced basis elements."""
+    return _Bareiss(list(zip(*(real_trace(n, b).reduced for b in basis_indices(n)))))
+
+
 __all__ = [
     "BoundCheck",
     "EigenPattern",
     "bound_check",
     "bound_filtered_divisors",
+    "decompose",
     "deviation",
     "deviation_vector",
     "satisfies_power_constraints",

@@ -13,9 +13,12 @@ This module holds the only copy of the closed formula: one sparse
 coordinate row per sign class (trace_coordinates), listing the
 (basis position, value) pairs where the coordinate is nonzero.  A row
 is built by stepping through the b ~ x mod n/g, about g steps rather
-than one test per basis index.  Beside it sits a general decomposition routine that solves
-the exact linear system in the power basis of Z[zeta_n] (used as an
-independent oracle for the formula), and the inverse recomposition.
+than one test per basis index.  Beside it sits the inverse map,
+recompose.  Recomposing a row and comparing it with its trace checks
+the formula with no solve: once the basis is known to be independent
+(basis_change_det is +-1), coordinates are unique.  The power-basis
+solve that cross-checks the formula independently is
+torunits.oracles.decompose.
 
 The change-of-basis determinant (basis_change_det) needs no solve.  It
 is taken over the Chebyshev basis 1, t_1, ..., t_(N-1) of the real
@@ -26,13 +29,14 @@ Over the power basis 1, a, ..., a^(N-1) of a = t_1 the change to the
 Chebyshev basis is unitriangular (t_k = D_k(a), a monic Dickson
 polynomial of degree k), so the determinant is the same integer.
 
-All linear algebra is one fraction-free integer elimination (Bareiss),
-which serves both the solves and the determinant.  It updates a whole
-row per step, with one exact division over the row; the division
-checks every remainder, and is skipped only where it is the identity
-or a negation, or where the row is a plain multiple.  A non-integral
-coordinate for an integral element would contradict the basis property
-and raises DecompositionError rather than being rounded.
+All linear algebra is one fraction-free integer elimination (Bareiss):
+it takes the determinant here, and torunits.oracles.decompose solves
+with it.  It updates a whole row per step, with one exact division
+over the row; the division checks every remainder, and is skipped only
+where it is the identity or a negation, or where the row is a plain
+multiple.  A non-integral coordinate for an integral element would
+contradict the basis property and raises DecompositionError rather
+than being rounded.
 """
 
 from __future__ import annotations
@@ -137,28 +141,6 @@ def decompose_combination(n: int, terms: Mapping[int, int]) -> RealCoords:
         for k, v in rows[class_rep(n, i)]:
             acc[k] += c * v
     return RealCoords(n, dict(zip(basis, acc)))
-
-
-def decompose(x: CycInt) -> RealCoords:
-    """Coordinates of a real element, by exact linear solve in the power basis.
-
-    This is the generic route: it uses nothing but the reduced forms of
-    the basis elements, so it serves as an independent oracle for
-    decompose_combination / basis_coeff.
-    """
-    n = x.n
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"need an odd modulus >= 3, got {n}")
-    if not x.is_real():
-        raise ValueError("element is not fixed by inversion, cannot decompose")
-    try:
-        sol = _basis_solver(n).solve(x.reduced)
-    except DecompositionError as exc:
-        raise DecompositionError(
-            f"no integral coordinates over n={n} ({exc}); "
-            "this contradicts the integral basis property"
-        ) from exc
-    return RealCoords(n, dict(zip(basis_indices(n), sol)))
 
 
 def recompose(e: RealCoords) -> CycInt:
@@ -344,10 +326,14 @@ class _Bareiss:
         return x
 
 
-@lru_cache(maxsize=None)
-def _basis_solver(n: int) -> _Bareiss:
-    """Elimination of the system whose columns are reduced basis elements."""
-    return _Bareiss(list(zip(*(real_trace(n, b).reduced for b in basis_indices(n)))))
+def __getattr__(name: str):
+    # perfbench/tracing.py still looks decompose up here by name; only that
+    # lookup loads torunits.oracles, which the command line never imports
+    if name == "decompose":
+        from torunits.oracles import decompose
+
+        return decompose
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
@@ -356,7 +342,6 @@ __all__ = [
     "basis_change_det",
     "basis_coeff",
     "basis_indices",
-    "decompose",
     "decompose_combination",
     "recompose",
     "trace_coordinates",

@@ -20,9 +20,15 @@ from torunits.numtheory import (
     moebius,
     near_zero_part,
 )
-from torunits.oracles import EigenPattern, bound_check, bound_filtered_divisors, deviation_vector
+from torunits.oracles import (
+    EigenPattern,
+    bound_check,
+    bound_filtered_divisors,
+    decompose,
+    deviation_vector,
+)
 from torunits.psl2 import character_value
-from torunits.realbasis import basis_change_det, basis_coeff, basis_indices, decompose
+from torunits.realbasis import basis_change_det, basis_coeff, basis_indices
 
 CASE_LEDGER = [(15, 3), (15, 5), (21, 3), (21, 7), (35, 7), (45, 5), (45, 15), (75, 3)]
 ORDER_LEDGER = [(16, 15), (31, 15), (127, 21), (127, 63)]

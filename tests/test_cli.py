@@ -259,6 +259,22 @@ def test_wrong_basis_change_row_is_an_internal_error(monkeypatch, tmp_path, caps
     assert err.startswith("internal error: the Chebyshev row of basis element 7 over n=15")
 
 
+def test_wrong_closed_form_row_fails_the_basis_check(monkeypatch, tmp_path, capsys):
+    from torunits import realbasis
+
+    # bump one coordinate of class 7's row; the determinant does not read the rows
+    rows = realbasis.trace_coordinates(15)
+    (k, v), *rest = rows[7]
+    monkeypatch.setitem(rows, 7, ((k, v + 1), *rest))
+    code, payload = run_cli(["basis", "--n", "15"], tmp_path)
+    assert code == 1
+    assert payload["ok"] is False
+    (result,) = payload["results"]
+    assert result["determinant"] in (1, -1)
+    assert result["formula_matches_oracle"] is False
+    assert "DISAGREES" in capsys.readouterr().out
+
+
 def test_bound_violation_is_an_internal_error(monkeypatch, tmp_path, capsys):
     from torunits import helpengine
     from torunits.realbasis import trace_coordinates

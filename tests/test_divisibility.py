@@ -5,6 +5,7 @@ import pytest
 from torunits.cyclotomic import CycInt, cyclotomic_poly, eval_at_root
 from torunits.divisibility import (
     PowerSums,
+    VanishingVerdict,
     check_vanishing,
     check_vanishing_real,
     cyclotomic_value_divisible,
@@ -13,7 +14,8 @@ from torunits.divisibility import (
     prime_power_divisors,
     recipe_instance,
 )
-from torunits.numtheory import class_reps, divisors
+from torunits.numtheory import class_rep, class_reps, divisors
+from torunits.oracles import decompose
 
 
 def padded(poly, n):
@@ -115,6 +117,47 @@ def test_check_vanishing_real_examples():
         assert vr.hypotheses_hold == vn.hypotheses_hold
         if vr.hypotheses_hold:
             assert vr.conclusion_holds and vn.conclusion_holds
+
+
+def _check_vanishing_real_by_solve(n, B, d):
+    # the same verdict with w(d) built as an element and solved in the power basis
+    inst = PowerSums(n, fold_class_vector(n, B), d)
+    hyp = all(inst.value(d // q).is_zero() for q in prime_power_divisors(d))
+    concl = all(v % d == 0 for v in decompose(inst.value(d)).coords.values())
+    return VanishingVerdict(hyp, concl)
+
+
+def _random_class_data(n, d, rng):
+    # nonzero values at class 0, at two classes x, y with d*x and d*y in one
+    # sign class, and at a few more
+    reps = class_reps(n)
+    while True:
+        x = rng.choice(reps)
+        y = class_rep(n, x + n // d)
+        if y != x:
+            break
+    keys = {0, x, y, *rng.sample(reps, 3)}
+    return {k: rng.choice((-1, 1)) * rng.randint(1, 5) for k in keys}, (x, y)
+
+
+def test_check_vanishing_real_matches_the_solver_route():
+    rng = random.Random(1409)
+    seen = set()
+    for n in (9, 15, 45, 63, 105):
+        for d in divisors(n)[1:]:
+            draws = []
+            for _ in range(2):
+                B, (x, y) = _random_class_data(n, d, rng)
+                assert 0 in B and class_rep(n, d * x) == class_rep(n, d * y)
+                draws += [B, {k: d * c for k, c in B.items()}]
+            # symmetrized recipe data: every class, hypotheses true by construction
+            A = recipe_instance(n, d, rng, max_coeff=3).coeffs
+            draws.append(fold_to_classes(n, [A[j] + A[-j % n] for j in range(n)]))
+            for B in draws:
+                got = check_vanishing_real(n, B, d)
+                assert got == _check_vanishing_real_by_solve(n, B, d), (n, d, B)
+                seen.add((got.hypotheses_hold, got.conclusion_holds))
+    assert {(False, False), (False, True), (True, True)} <= seen
 
 
 def test_fold_class_vector_weights_zero_class_twice():

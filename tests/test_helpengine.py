@@ -33,13 +33,14 @@ from torunits.oracles import (
     EigenPattern,
     bound_check,
     bound_filtered_divisors,
+    decompose,
     deviation,
     deviation_vector,
     satisfies_power_constraints,
     weight_consistent,
 )
 from torunits.psl2 import character_value
-from torunits.realbasis import basis_indices, decompose
+from torunits.realbasis import basis_indices
 
 DATA = Path(__file__).parent / "data"
 

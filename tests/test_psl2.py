@@ -4,6 +4,7 @@ import pytest
 
 from torunits.augment import AugVector, eigenvalue_multiplicity
 from torunits.cyclotomic import CycInt, real_trace
+from torunits.oracles import decompose
 from torunits.psl2 import (
     admissible_orders,
     character_value,
@@ -11,7 +12,6 @@ from torunits.psl2 import (
     group_profile,
     is_prime_power,
 )
-from torunits.realbasis import decompose
 
 
 def test_group_profile_q7():

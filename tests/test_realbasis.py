@@ -15,6 +15,7 @@ from torunits.numtheory import (
     pair_weight,
     same_class,
 )
+from torunits.oracles import decompose
 from torunits.realbasis import (
     DecompositionError,
     RealCoords,
@@ -23,7 +24,6 @@ from torunits.realbasis import (
     basis_change_det,
     basis_coeff,
     basis_indices,
-    decompose,
     decompose_combination,
     recompose,
     trace_coordinates,
@@ -201,7 +201,7 @@ def test_real_coords_validation():
 
 
 def test_real_trace_is_the_same_for_i_and_minus_i():
-    # why the basis command solves once per sign class, not once per residue
+    # why the basis command checks once per sign class, not once per residue
     for n in range(3, 106, 2):
         for i in range(1, n):
             assert real_trace(n, i) == real_trace(n, n - i), (n, i)
