@@ -1,22 +1,22 @@
 """Partial-augmentation tools for torsion units of odd order n.
 
-Augmentation vectors indexed by sign classes, the real trace values
-they imply and the exact Fourier inversion of those values, the
-augmentations of powers, exact eigenvalue multiplicities of the
-degree-(1+2m) representations, and an exploratory search over small
-augmentation vectors.  None of this is on the verification path in
-torunits.helpengine; only the explore-eps command imports this module.
+Augmentation vectors indexed by sign classes, the augmentations of
+powers, exact eigenvalue multiplicities of the degree-(1+2m)
+representations, and an exploratory search over small augmentation
+vectors.  The real trace values an augmentation vector implies, and
+their exact Fourier inversion, are cross-checks in torunits.oracles.
+None of this is on the verification path in torunits.helpengine; only
+the explore-eps command imports this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import comb
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from torunits.cyclotomic import CycInt, _fold_pairs, rational_trace
+from torunits.cyclotomic import CycInt, rational_trace
 from torunits.numtheory import class_rep, class_reps, divisors
 from torunits.psl2 import character_value
 
@@ -52,48 +52,6 @@ class AugVector:
 
     def __getitem__(self, x: int) -> int:
         return self.eps[class_rep(self.n, x)]
-
-
-def unit_trace(eps: AugVector, i: int) -> CycInt:
-    """sum_x eps[x] * (zeta^(i*x) + zeta^(-i*x)): the implied real trace value."""
-    return CycInt(eps.n, _fold_pairs(eps.eps.items(), i, eps.n))
-
-
-def augmentations_from_traces(traces: Sequence[CycInt], n: int) -> AugVector:
-    """Invert i -> unit_trace(eps, i) given the values for i = 0..n-1.
-
-    Inverts the finite Fourier transform exactly inside Z[zeta_n]: for
-    each j, sum_i traces[i] * zeta^(-i*j) must reduce to the constant
-    n * E_j with E_j = E_{n-j} integers and E_0 even.  Inconsistent
-    input (anything not of the form unit_trace(eps, .) for an integer
-    augmentation vector summing to 1) raises ValueError.
-    """
-    if len(traces) != n:
-        raise ValueError(f"expected {n} trace values, got {len(traces)}")
-    doubled = []
-    for i, t in enumerate(traces):
-        if not isinstance(t, CycInt) or t.n != n:
-            raise ValueError(f"trace {i} is not an element of the order-{n} ring")
-        doubled.append(t.coeffs * 2)
-    E = [0] * n
-    for j in range(n):
-        # sum_i traces[i] * zeta^(-i*j), by columns: trace i shifted down by
-        # i*j is a window of its doubled coefficients, so nothing is copied
-        windows = [islice(row, i * j % n, i * j % n + n) for i, row in enumerate(doubled)]
-        red = CycInt(n, map(sum, zip(*windows))).reduced
-        if any(red[1:]):
-            raise ValueError(f"trace data is inconsistent: component {j} is not rational")
-        if red[0] % n:
-            raise ValueError(f"trace data is inconsistent: non-integer solution at {j}")
-        E[j] = red[0] // n
-    for x in range(1, n // 2 + 1):
-        if E[x] != E[n - x]:
-            raise ValueError(f"trace data is inconsistent: asymmetry at {x}")
-    if E[0] % 2:
-        raise ValueError("trace data is inconsistent: odd weight at class 0")
-    eps = {0: E[0] // 2}
-    eps.update({x: E[x] for x in range(1, n // 2 + 1)})
-    return AugVector(n, eps)
 
 
 # -- eigenvalue multiplicities ------------------------------------------
@@ -245,11 +203,9 @@ def explore_augmentations(n: int, m_max: int = 3, bound: int = 1) -> list[AugVec
 
 __all__ = [
     "AugVector",
-    "augmentations_from_traces",
     "classwise_powers",
     "eigenvalue_multiplicity",
     "explore_augmentations",
     "explore_size",
     "induction_powers",
-    "unit_trace",
 ]

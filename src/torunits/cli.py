@@ -13,8 +13,9 @@ but has no effect.
 Exit codes: 0 when every check passed / every case was eliminated,
 1 when a survivor or a property violation was found, 2 on invalid
 input or a report that cannot be written, 3 on an internal error (a
-failed invariant, or a basis determinant whose Chebyshev row does not
-recompose or whose Bareiss division is inexact; no report is written).
+failed invariant, a Chebyshev row of `basis` that does not recompose
+to its real trace, or an inexact Bareiss division in the basis
+determinant; no report is written).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import sys
 from pathlib import Path
 
 from torunits import __version__
-from torunits.cyclotomic import real_trace
 from torunits.divisibility import PowerSums, check_vanishing, cyclotomic_value_divisible
 from torunits.helpengine import (
     CaseInapplicableError,
@@ -35,14 +35,14 @@ from torunits.helpengine import (
     check_case,
     verify_order,
 )
-from torunits.numtheory import class_reps, euler_phi
+from torunits.numtheory import euler_phi
 from torunits.psl2 import admissible_orders, group_profile
 from torunits.realbasis import (
     DecompositionError,
     basis_change_det,
     basis_indices,
-    decompose_combination,
-    recompose,
+    chebyshev_coordinates,
+    closed_formula_holds,
 )
 
 SCHEMA_VERSION = 1
@@ -202,14 +202,13 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[list[dict], bool]:
     _require(args, "n")
     n = args.n
     idx = basis_indices(n)
-    det = basis_change_det(n)
+    # one checked walk serves the determinant and the closed formula
+    rows = chebyshev_coordinates(n)
+    det = basis_change_det(n, rows)
     size_ok = len(idx) == euler_phi(n) // 2
     det_ok = det in (1, -1)
     # det +-1 makes the basis independent: a row that recomposes to its trace is its coordinates
-    formula_ok = all(
-        (recompose(decompose_combination(n, {i: 1})) - real_trace(n, i)).is_zero()
-        for i in class_reps(n)
-    )
+    formula_ok = closed_formula_holds(n, rows)
     ok = size_ok and det_ok and formula_ok
     print(f"basis for n={n}: {len(idx)} indices {list(idx)}")
     print(
@@ -250,6 +249,8 @@ def _cmd_explore_eps(args: argparse.Namespace) -> tuple[list[dict], bool]:
 
     _require(args, "n")
     m_max = args.m if args.m is not None else 3
+    if m_max < 1:
+        raise ValueError(f"--m must be at least 1, got {m_max}")
     # the search is exponential in n, so say how big it is before it starts
     print(
         f"searching {explore_size(args.n)} augmentation vectors for order n={args.n}",

@@ -14,16 +14,18 @@ All coefficients are arbitrary-precision Python integers; cyclotomic
 polynomials are obtained by exact division, never numerically.
 
 Three private primitives on coefficient lists carry this arithmetic,
-and that of divisibility, realbasis and augment: _fold (sum c_j X^(s*j)
-modulo X^m - 1), _convolve (the product) and _long_divide (quotient
-and remainder).  _fold_pairs is the fold of sign-class data.
+and that of divisibility, realbasis, augment and oracles: _fold
+(sum c_j X^(s*j) modulo X^m - 1), _convolve (the product) and
+_long_divide (quotient and remainder).  _fold_pairs is the fold of
+sign-class data, and _root_walk steps the canonical form of a root of
+unity up or down one exponent at a time, with no division.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from torunits.numtheory import divisors, euler_phi, radical
 
@@ -185,6 +187,35 @@ def cyclotomic_poly(m: int) -> IntPoly:
     if not out.is_monic or out.degree != euler_phi(m):
         raise ArithmeticError(f"cyclotomic polynomial computation failed for m={m}")
     return out
+
+
+def _root_walk(m: int, e: int, step: int) -> Iterator[list[int]]:
+    """Canonical forms of zeta_m^e, zeta_m^(e+step), zeta_m^(e+2*step), ..., endlessly.
+
+    m >= 2, 0 <= e < phi(m) and step is 1 or -1.  Each step is one
+    pass over phi(m) coefficients.  Up, the product with zeta pushes a
+    coefficient h to degree phi(m), and h * Phi_m (monic) takes it
+    back.  Down, the constant term c is first cleared with c * Phi_m,
+    which is exact because Phi_m(0) = 1 for m >= 2; the rest then
+    shifts down one place.
+    """
+    phi = cyclotomic_poly(m).coeffs
+    deg = len(phi) - 1
+    low, high = phi[:deg], phi[1:]
+    v = [0] * deg
+    v[e] = 1
+    while True:
+        yield v
+        if step == 1:
+            h = v[-1]
+            v = [0] + v[:-1]
+            if h:
+                v = [a - h * p for a, p in zip(v, low)]
+        else:
+            c = v[0]
+            v = v[1:] + [0]
+            if c:
+                v = [a - c * p for a, p in zip(v, high)]
 
 
 class CycInt:

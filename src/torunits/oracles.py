@@ -8,8 +8,10 @@ constraints are tested for every divisor of n (not only the primes),
 and deviation vectors are dense sums through
 realbasis.decompose_combination.  decompose finds the coordinates of
 any real element by an exact solve in the power basis of Z[zeta_n],
-using nothing of the closed formula.  Nothing on the command-line path
-imports this module.
+using nothing of the closed formula, and recompose maps coordinates
+back to the element.  unit_trace gives the real trace values an
+augmentation vector implies, and augmentations_from_traces inverts
+them exactly.  Nothing on the command-line path imports this module.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from typing import Sequence
 
-from torunits.cyclotomic import CycInt, real_trace
+from torunits.augment import AugVector
+from torunits.cyclotomic import CycInt, _fold_pairs, real_trace
 from torunits.helpengine import InvariantViolationError
 from torunits.numtheory import class_rep, divisors, prime_count, prime_divisors
 from torunits.realbasis import (
@@ -153,20 +158,70 @@ def decompose(x: CycInt) -> RealCoords:
     return RealCoords(n, dict(zip(basis_indices(n), sol)))
 
 
+def recompose(e: RealCoords) -> CycInt:
+    """The element sum(coords[b] * real_trace(n, b))."""
+    return CycInt(e.n, _fold_pairs(e.coords.items(), 1, e.n))
+
+
 @lru_cache(maxsize=None)
 def _basis_solver(n: int) -> _Bareiss:
     """Elimination of the system whose columns are reduced basis elements."""
     return _Bareiss(list(zip(*(real_trace(n, b).reduced for b in basis_indices(n)))))
 
 
+def unit_trace(eps: AugVector, i: int) -> CycInt:
+    """sum_x eps[x] * (zeta^(i*x) + zeta^(-i*x)): the implied real trace value."""
+    return CycInt(eps.n, _fold_pairs(eps.eps.items(), i, eps.n))
+
+
+def augmentations_from_traces(traces: Sequence[CycInt], n: int) -> AugVector:
+    """Invert i -> unit_trace(eps, i) given the values for i = 0..n-1.
+
+    Inverts the finite Fourier transform exactly inside Z[zeta_n]: for
+    each j, sum_i traces[i] * zeta^(-i*j) must reduce to the constant
+    n * E_j with E_j = E_{n-j} integers and E_0 even.  Inconsistent
+    input (anything not of the form unit_trace(eps, .) for an integer
+    augmentation vector summing to 1) raises ValueError.
+    """
+    if len(traces) != n:
+        raise ValueError(f"expected {n} trace values, got {len(traces)}")
+    doubled = []
+    for i, t in enumerate(traces):
+        if not isinstance(t, CycInt) or t.n != n:
+            raise ValueError(f"trace {i} is not an element of the order-{n} ring")
+        doubled.append(t.coeffs * 2)
+    E = [0] * n
+    for j in range(n):
+        # sum_i traces[i] * zeta^(-i*j), by columns: trace i shifted down by
+        # i*j is a window of its doubled coefficients, so nothing is copied
+        windows = [islice(row, i * j % n, i * j % n + n) for i, row in enumerate(doubled)]
+        red = CycInt(n, map(sum, zip(*windows))).reduced
+        if any(red[1:]):
+            raise ValueError(f"trace data is inconsistent: component {j} is not rational")
+        if red[0] % n:
+            raise ValueError(f"trace data is inconsistent: non-integer solution at {j}")
+        E[j] = red[0] // n
+    for x in range(1, n // 2 + 1):
+        if E[x] != E[n - x]:
+            raise ValueError(f"trace data is inconsistent: asymmetry at {x}")
+    if E[0] % 2:
+        raise ValueError("trace data is inconsistent: odd weight at class 0")
+    eps = {0: E[0] // 2}
+    eps.update({x: E[x] for x in range(1, n // 2 + 1)})
+    return AugVector(n, eps)
+
+
 __all__ = [
     "BoundCheck",
     "EigenPattern",
+    "augmentations_from_traces",
     "bound_check",
     "bound_filtered_divisors",
     "decompose",
     "deviation",
     "deviation_vector",
+    "recompose",
     "satisfies_power_constraints",
+    "unit_trace",
     "weight_consistent",
 ]

@@ -13,21 +13,34 @@ This module holds the only copy of the closed formula: one sparse
 coordinate row per sign class (trace_coordinates), listing the
 (basis position, value) pairs where the coordinate is nonzero.  A row
 is built by stepping through the b ~ x mod n/g, about g steps rather
-than one test per basis index.  Beside it sits the inverse map,
-recompose.  Recomposing a row and comparing it with its trace checks
-the formula with no solve: once the basis is known to be independent
-(basis_change_det is +-1), coordinates are unique.  The power-basis
-solve that cross-checks the formula independently is
-torunits.oracles.decompose.
+than one test per basis index.  The inverse map, recompose, is a
+cross-check and lives in torunits.oracles.
 
-The change-of-basis determinant (basis_change_det) needs no solve.  It
-is taken over the Chebyshev basis 1, t_1, ..., t_(N-1) of the real
-subring, t_k = zeta^k + zeta^-k and N = phi(n)/2: the recurrence
-t_(k+1) = t_1 * t_k - t_(k-1), with t_N rewritten through the
-palindromic Phi_n, gives each basis element's row in O(N) per step.
-Over the power basis 1, a, ..., a^(N-1) of a = t_1 the change to the
-Chebyshev basis is unitriangular (t_k = D_k(a), a monic Dickson
-polynomial of degree k), so the determinant is the same integer.
+Every check here runs over the Chebyshev basis 1, t_1, ..., t_(N-1) of
+the real subring, t_k = zeta^k + zeta^-k and N = phi(n)/2.  One walk,
+t_(k+1) = t_1 * t_k - t_(k-1) with t_N rewritten through the
+palindromic Phi_n, gives the coordinates of t_k for every class k in
+O(N) per step (_chebyshev_rows), and each row is checked as it comes
+(chebyshev_coordinates).  The check needs no long division: times
+zeta^(N-1), a row's exponents k + N - 1 and N - 1 - k all lie in
+[0, phi(n) - 2], so the product is already in canonical form.  It
+must equal the sum of the canonical forms of zeta^(N-1+k) and
+zeta^(N-1-k), which two running monomials step up and down modulo
+Phi_n (_root_walk).
+zeta^(N-1) is a unit, so a row that passes is exactly t_k.
+
+The checked rows carry both facts that the basis command certifies.
+The change-of-basis determinant (basis_change_det) is taken over the
+basis rows.  Over the power basis 1, a, ..., a^(N-1) of a = t_1 the
+change to the Chebyshev basis is unitriangular (t_k = D_k(a), a monic
+Dickson polynomial of degree k), so the determinant is the same
+integer.  The closed formula holds (closed_formula_holds) when, for
+every class i, the rows of the basis elements weighted by the
+closed-form row of i sum to the row of t_i; 1, t_1, ..., t_(N-1) is a
+basis, so equal coordinates mean equal elements.  Once the
+determinant is +-1 the basis is independent and coordinates are
+unique, so this proves the formula with no solve.  The power-basis
+solve that cross-checks it independently is torunits.oracles.decompose.
 
 All linear algebra is one fraction-free integer elimination (Bareiss):
 it takes the determinant here, and torunits.oracles.decompose solves
@@ -47,7 +60,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Mapping, Sequence
 
-from torunits.cyclotomic import CycInt, _fold_pairs, cyclotomic_poly, real_trace
+from torunits.cyclotomic import _root_walk, cyclotomic_poly
 from torunits.numtheory import (
     basis_exponents,
     class_rep,
@@ -143,66 +156,93 @@ def decompose_combination(n: int, terms: Mapping[int, int]) -> RealCoords:
     return RealCoords(n, dict(zip(basis, acc)))
 
 
-def recompose(e: RealCoords) -> CycInt:
-    """The element sum(coords[b] * real_trace(n, b))."""
-    return CycInt(e.n, _fold_pairs(e.coords.items(), 1, e.n))
+def chebyshev_coordinates(n: int) -> list[list[int]]:
+    """Checked coordinates of t_k = real_trace(n, k) over 1, t_1, ..., t_(N-1), N = phi(n)/2.
+
+    Entry k is the row of class k, for k = 0, 1, ..., n//2, as
+    _chebyshev_rows walks it.  Each row is checked before it is
+    returned: times zeta^(N-1) its exponents lie in [0, phi(n) - 2], so
+    the product, read straight off the row, must equal the canonical
+    forms of zeta^(N-1+k) + zeta^(N-1-k) that two _root_walk monomials
+    supply, one stepped up and one stepped down.  A mismatch raises
+    DecompositionError.  Each row costs O(phi(n)); nothing is cached.
+    """
+    rows = _chebyshev_rows(n)
+    start = len(basis_indices(n)) - 1
+    walks = zip(rows, _root_walk(n, start, 1), _root_walk(n, start, -1))
+    for k, (row, up, down) in enumerate(walks):
+        if row[:0:-1] + row + [0] != [u + d for u, d in zip(up, down)]:
+            what = f"basis element {k}" if k in _basis_position(n) else f"class {k}"
+            raise DecompositionError(
+                f"the Chebyshev row of {what} over n={n} does not recompose to it"
+            )
+    return rows
 
 
-def basis_change_det(n: int) -> int:
+def basis_change_det(n: int, rows: Sequence[Sequence[int]] | None = None) -> int:
     """Determinant of the matrix expressing the basis in real power-basis terms.
 
     The determinant is +-1 exactly when the distinguished set is a
     Z-basis of Z[a], a = real_trace(n, 1).  Its rows express each basis
     element real_trace(n, b) in the Chebyshev basis 1, t_1, ...,
-    t_(N-1) of Z[a], t_k = real_trace(n, k), N = phi(n)/2
-    (_chebyshev_rows).  This is the same integer as over the power
-    basis 1, a, ..., a^(N-1): t_k = D_k(a) for the Dickson polynomial
-    D_k, which is monic of degree k, so the change between the two
-    bases is unitriangular.  Each row is recomposed and compared with
-    real_trace(n, b) in canonical form before it is used; a mismatch
-    raises DecompositionError.
+    t_(N-1) of Z[a], t_k = real_trace(n, k), N = phi(n)/2: the checked
+    rows of chebyshev_coordinates, walked here unless the caller passes
+    them in.  This is the same integer as over the power basis 1, a,
+    ..., a^(N-1): t_k = D_k(a) for the Dickson polynomial D_k, which is
+    monic of degree k, so the change between the two bases is
+    unitriangular.  A row that fails its check raises
+    DecompositionError.
     """
-    rows = _chebyshev_rows(n)
-    for b, row in zip(basis_indices(n), rows):
-        coeffs = _fold_pairs(enumerate(row[1:], 1), 1, n)
-        coeffs[0] += row[0]
-        if not (CycInt(n, coeffs) - real_trace(n, b)).is_zero():
-            raise DecompositionError(
-                f"the Chebyshev row of basis element {b} over n={n} does not recompose to it"
-            )
-    return _Bareiss(rows).det
+    if rows is None:
+        rows = chebyshev_coordinates(n)
+    return _Bareiss([rows[b] for b in basis_indices(n)]).det
+
+
+def closed_formula_holds(n: int, rows: Sequence[Sequence[int]]) -> bool:
+    """Whether every closed-form row recomposes its real trace over the checked Chebyshev rows.
+
+    rows is chebyshev_coordinates(n).  For each class i the test is
+    sum_b R_i[b] * C_b == C_i in Z^N, where R_i is the closed-form row
+    of i (trace_coordinates) and C_k the Chebyshev row of t_k.  The
+    Chebyshev basis is a basis, so this is the identity
+    sum_b R_i[b] * real_trace(n, b) == real_trace(n, i) itself.
+    """
+    basis_rows = [rows[b] for b in basis_indices(n)]
+    for i, coords in trace_coordinates(n).items():
+        acc = [0] * len(rows[i])
+        for k, v in coords:
+            acc = [a + v * c for a, c in zip(acc, basis_rows[k])]
+        if acc != rows[i]:
+            return False
+    return True
 
 
 def _chebyshev_rows(n: int) -> list[list[int]]:
-    """Coordinates of real_trace(n, b) over 1, t_1, ..., t_(N-1), one row per basis index b.
+    """Coordinates of real_trace(n, k) over 1, t_1, ..., t_(N-1), for k = 0, 1, ..., n//2.
 
     t_k = zeta^k + zeta^-k and N = phi(n)/2.  Phi_n is palindromic of
     degree 2N, so zeta^-N * Phi_n(zeta) = 0 gives
     t_N = -(c_N + sum_{0<k<N} c_(N+k) t_k) for its coefficients c.  The
-    walk t_(k+1) = t_1 * t_k - t_(k-1), t_0 = 2, runs up to the largest
-    basis index; multiplying by t_1 shifts each coordinate up and down
-    one place (t_1 * t_j = t_(j+1) + t_(j-1)), and t_N is replaced by
-    the vector above.  Every step is O(N).
+    walk t_(k+1) = t_1 * t_k - t_(k-1), t_0 = 2, runs over every sign
+    class; multiplying by t_1 shifts each coordinate up and down one
+    place (t_1 * t_j = t_(j+1) + t_(j-1)), and t_N is replaced by the
+    vector above.  Every step is O(N).  The rows are unchecked; use
+    chebyshev_coordinates.
     """
-    basis = basis_indices(n)
-    size = len(basis)
+    size = len(basis_indices(n))
     top = [-c for c in cyclotomic_poly(n).coeffs[size : 2 * size]]
 
     def fold_top(v: list[int]) -> list[int]:
         h = v.pop()
         return [a + h * t for a, t in zip(v, top)] if h else v
 
-    wanted = set(basis)
-    rows = {}
-    prev = [2] + [0] * (size - 1)
-    cur = fold_top([0, 1] + [0] * (size - 1))
-    for k in range(1, basis[-1] + 1):
-        if k in wanted:
-            rows[k] = cur
+    rows = [[2] + [0] * (size - 1), fold_top([0, 1] + [0] * (size - 1))]
+    for _ in range(n // 2 - 1):
+        prev, cur = rows[-2], rows[-1]
         down = cur[1:] + [0, 0]
         down[0] *= 2
-        prev, cur = cur, fold_top([u + d - p for u, d, p in zip([0] + cur, down, prev + [0])])
-    return [rows[b] for b in basis]
+        rows.append(fold_top([u + d - p for u, d, p in zip([0] + cur, down, prev + [0])]))
+    return rows
 
 
 # -- exact linear algebra ---------------------------------------------
@@ -342,7 +382,8 @@ __all__ = [
     "basis_change_det",
     "basis_coeff",
     "basis_indices",
+    "chebyshev_coordinates",
+    "closed_formula_holds",
     "decompose_combination",
-    "recompose",
     "trace_coordinates",
 ]

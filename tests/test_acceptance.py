@@ -8,7 +8,7 @@ import json
 import random
 import time
 
-from torunits.augment import AugVector, augmentations_from_traces, unit_trace
+from torunits.augment import AugVector
 from torunits.cli import main
 from torunits.cyclotomic import CycInt, real_trace
 from torunits.divisibility import check_vanishing, cyclotomic_value_divisible, recipe_instance
@@ -22,10 +22,12 @@ from torunits.numtheory import (
 )
 from torunits.oracles import (
     EigenPattern,
+    augmentations_from_traces,
     bound_check,
     bound_filtered_divisors,
     decompose,
     deviation_vector,
+    unit_trace,
 )
 from torunits.psl2 import character_value
 from torunits.realbasis import basis_change_det, basis_coeff, basis_indices

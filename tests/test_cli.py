@@ -121,7 +121,7 @@ def test_basis_command(tmp_path):
 def test_basis_reports_match_fixture(tmp_path):
     # report bytes of basis --n N, recorded in tests/data/basis_reports.json
     digests = json.loads((DATA / "basis_reports.json").read_text())
-    assert sorted(map(int, digests)) == [3, 15, 45, 63, 97, 101, 103, 105, 121, 165, 255]
+    assert sorted(map(int, digests)) == [3, 15, 45, 63, 97, 101, 103, 105, 121, 165, 255, 399]
     out = tmp_path / "report.json"
     for n, want in digests.items():
         assert main(["basis", "--n", n, "--output", str(out)]) == 0
@@ -161,6 +161,17 @@ def test_explore_eps_announces_its_search_size(tmp_path, capsys):
     # an invalid order is rejected before any search size is announced
     assert run_cli(["explore-eps", "--n", "16"], tmp_path)[0] == 2
     assert capsys.readouterr().err == "error: need an odd order >= 3, got 16\n"
+
+
+def test_explore_eps_rejects_m_below_one_before_announcing(tmp_path, capsys):
+    for m in ("0", "-1"):
+        code, payload = run_cli(["explore-eps", "--n", "15", "--m", m], tmp_path)
+        assert code == 2
+        assert payload is None
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "--m" in captured.err
+        assert "searching" not in captured.err
 
 
 def test_workers_flag_changes_nothing(tmp_path):
@@ -257,6 +268,25 @@ def test_wrong_basis_change_row_is_an_internal_error(monkeypatch, tmp_path, caps
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("internal error: the Chebyshev row of basis element 7 over n=15")
+
+
+def test_wrong_row_outside_the_basis_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    from torunits import realbasis
+
+    honest = realbasis._chebyshev_rows
+
+    def tampered(n):
+        rows = honest(n)
+        rows[3][0] += 1  # class 3 of n = 15 is not a basis index
+        return rows
+
+    monkeypatch.setattr(realbasis, "_chebyshev_rows", tampered)
+    out = tmp_path / "x.json"
+    code = main(["basis", "--n", "15", "--output", str(out)])
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: the Chebyshev row of class 3 over n=15")
 
 
 def test_wrong_closed_form_row_fails_the_basis_check(monkeypatch, tmp_path, capsys):

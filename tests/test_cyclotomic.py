@@ -13,6 +13,7 @@ from torunits.cyclotomic import (
     _fold,
     _fold_pairs,
     _long_divide,
+    _root_walk,
     cyclotomic_poly,
     eval_at_root,
     rational_trace,
@@ -54,7 +55,7 @@ def ref_scatter(coeffs, s, m):
 
 
 def ref_pairs(terms, s, m):
-    # unit_trace; fold_class_vector and recompose are the case s = 1
+    # oracles.unit_trace; fold_class_vector and oracles.recompose are the case s = 1
     out = [0] * m
     for x, c in terms:
         if c:
@@ -191,6 +192,19 @@ def test_long_divide_matches_the_division_loops():
         for _ in range(10):
             raw = random_coeffs(rng, rng.randint(0, 2 * n))
             assert tuple(_long_divide(raw, cyclotomic_poly(n).coeffs)[1]) == ref_reduce(raw, n)
+
+
+def test_root_walk_matches_the_reduced_roots():
+    # both directions run for more than two full turns, so the walk folds
+    # through Phi_n at every exponent, against the long-division route
+    for n in (2, 3, 7, 9, 15, 24, 45, 105, 165):
+        phi = euler_phi(n)
+        for e in sorted({0, (phi - 1) // 2, phi - 1}):
+            for step in (1, -1):
+                walk = _root_walk(n, e, step)
+                for j in range(2 * n + 3):
+                    want = CycInt.root(n, e + step * j).reduced
+                    assert next(walk) == list(want), (n, e, step, j)
 
 
 # -- ring laws ---------------------------------------------------------

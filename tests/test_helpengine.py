@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 
 from torunits.augment import (
     AugVector,
-    augmentations_from_traces,
     classwise_powers,
     eigenvalue_multiplicity,
     explore_augmentations,
     induction_powers,
-    unit_trace,
 )
 from torunits.cyclotomic import CycInt, real_trace
 from torunits.helpengine import (
@@ -31,12 +29,14 @@ from torunits.helpengine import (
 from torunits.numtheory import class_rep, class_reps, divisors, prime_divisors
 from torunits.oracles import (
     EigenPattern,
+    augmentations_from_traces,
     bound_check,
     bound_filtered_divisors,
     decompose,
     deviation,
     deviation_vector,
     satisfies_power_constraints,
+    unit_trace,
     weight_consistent,
 )
 from torunits.psl2 import character_value

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from torunits import realbasis
-from torunits.cyclotomic import CycInt, IntPoly, cyclotomic_poly, real_trace
+from torunits.cyclotomic import CycInt, IntPoly, _fold_pairs, cyclotomic_poly, real_trace
 from torunits.numtheory import (
     basis_exponents,
     class_reps,
@@ -15,7 +15,7 @@ from torunits.numtheory import (
     pair_weight,
     same_class,
 )
-from torunits.oracles import decompose
+from torunits.oracles import decompose, recompose
 from torunits.realbasis import (
     DecompositionError,
     RealCoords,
@@ -24,8 +24,9 @@ from torunits.realbasis import (
     basis_change_det,
     basis_coeff,
     basis_indices,
+    chebyshev_coordinates,
+    closed_formula_holds,
     decompose_combination,
-    recompose,
     trace_coordinates,
 )
 
@@ -140,12 +141,60 @@ def test_change_of_basis_det_matches_the_power_basis_route():
         assert basis_change_det(n) == _power_basis_det(n), n
 
 
+def _long_division_check(n):
+    """(det, formula_ok) by reducing each recomposed row modulo Phi_n, as basis once did.
+
+    Each basis element's Chebyshev row is recomposed with _fold_pairs and
+    compared with its real trace by is_zero(), which long-divides by
+    Phi_n; the determinant is taken over the rows that pass.  The closed
+    formula holds when every class's closed-form row recomposes to its
+    real trace, again by is_zero().
+    """
+    rows = _chebyshev_rows(n)
+    for b in basis_indices(n):
+        coeffs = _fold_pairs(enumerate(rows[b][1:], 1), 1, n)
+        coeffs[0] += rows[b][0]
+        if not (CycInt(n, coeffs) - real_trace(n, b)).is_zero():
+            raise DecompositionError(f"the Chebyshev row of basis element {b} over n={n}")
+    det = _Bareiss([rows[b] for b in basis_indices(n)]).det
+    formula_ok = all(
+        (recompose(decompose_combination(n, {i: 1})) - real_trace(n, i)).is_zero()
+        for i in class_reps(n)
+    )
+    return det, formula_ok
+
+
+def test_checked_walk_matches_the_long_division_route():
+    for n in range(3, 156, 2):
+        rows = chebyshev_coordinates(n)
+        got = (basis_change_det(n, rows), closed_formula_holds(n, rows))
+        assert got == _long_division_check(n) == (basis_change_det(n), True), n
+
+
+def test_checked_walk_and_long_division_reject_the_same_closed_form_rows(monkeypatch):
+    # bump one coordinate of one class's row at a time: both routes must refuse it
+    for n in (15, 21, 45):
+        rows = trace_coordinates(n)
+        for x in class_reps(n):
+            (k, v), *rest = rows[x]
+            with monkeypatch.context() as m:
+                m.setitem(rows, x, ((k, v + 1), *rest))
+                assert not closed_formula_holds(n, chebyshev_coordinates(n)), (n, x)
+                assert _long_division_check(n)[1] is False, (n, x)
+
+
 def test_chebyshev_rows_recompose_to_the_basis_elements():
+    # every class for n < 200, the basis elements for n < 400
     for n in range(3, 400, 2):
         size = euler_phi(n) // 2
-        for b, row in zip(basis_indices(n), _chebyshev_rows(n)):
+        rows = _chebyshev_rows(n)
+        assert len(rows) == n // 2 + 1
+        assert rows[0] == [2] + [0] * (size - 1)
+        assert chebyshev_coordinates(n) == rows, n
+        for b in class_reps(n) if n < 200 else basis_indices(n):
+            row = rows[b]
             assert len(row) == size
-            if b < size:
+            if 0 < b < size:
                 assert row == [int(k == b) for k in range(size)], (n, b)
             # row[0] + sum row[k] * (zeta^k + zeta^-k) - (zeta^b + zeta^-b) must be 0
             coeffs = [0] * n
@@ -154,7 +203,7 @@ def test_chebyshev_rows_recompose_to_the_basis_elements():
                 coeffs[k] += row[k]
                 coeffs[n - k] += row[k]
             coeffs[b] -= 1
-            coeffs[n - b] -= 1
+            coeffs[-b % n] -= 1
             assert CycInt(n, coeffs).is_zero(), (n, b)
 
 
@@ -179,6 +228,21 @@ def test_wrong_chebyshev_row_is_caught(monkeypatch):
     monkeypatch.setattr(realbasis, "_chebyshev_rows", tampered)
     with pytest.raises(DecompositionError, match="basis element 7 over n=15"):
         basis_change_det(15)
+
+
+@pytest.mark.parametrize("cls", [0, 3, 5, 6])
+def test_wrong_row_outside_the_basis_is_caught(monkeypatch, cls):
+    # the classes of n = 15 that are not basis indices (1, 2, 4, 7)
+    honest = realbasis._chebyshev_rows
+
+    def tampered(n):
+        rows = honest(n)
+        rows[cls][-1] += 1
+        return rows
+
+    monkeypatch.setattr(realbasis, "_chebyshev_rows", tampered)
+    with pytest.raises(DecompositionError, match=f"the Chebyshev row of class {cls} over n=15"):
+        chebyshev_coordinates(15)
 
 
 def test_expansion_identity_sample():
