@@ -39,9 +39,13 @@ counters packed into one int, so equal subtries are built once and
 shared: the trie is a DAG.  check_case searches it depth first,
 carrying the deviation as a sparse sum of the closed-formula rows of
 realbasis.trace_coordinates, and classifies each tuple when it reaches
-it, without listing the tuples.  It classifies in trie order and sorts
-only the survivors and near misses, in one process, so certificates
-are byte-stable.  enumerate_patterns expands the same trie into the
+it, without listing the tuples.  It first resolves each DAG node once,
+looking up its edges' class groups.  A node with one edge, from a cell
+of one class, has one group: a unary link.  A chain of unary links is
+joined into every group of the edge above it, so a run of one-class
+cells costs one push.  It classifies in trie order and sorts only the
+survivors and near misses, in one process, so certificates are
+byte-stable.  enumerate_patterns expands the same trie into the
 sorted tuple stream the tests check against.
 """
 
@@ -96,6 +100,8 @@ def candidate_divisors(n: int) -> CandidateDivisors:
     n) the sharper bound 2^(#primes(d)+2) applies.  Dropped divisors
     are eliminated a priori: the deviation vector can never reach d.
     """
+    if n < 1:
+        return CandidateDivisors(n, False, "non-positive order", (), ())
     if n % 2 == 0:
         return CandidateDivisors(n, False, "even order", (), ())
     if n < 3:
@@ -261,6 +267,22 @@ def enumerate_patterns(n: int, d: int) -> Iterator[tuple[int, ...]]:
 _Row = tuple[tuple[int, int], ...]  # sparse (basis position, value) pairs
 # a combination of classes of one cell, its summed row and its class-0 count
 _Group = tuple[tuple[int, ...], _Row, int]
+# a chain of unary links, joined: its classes, its rows concatenated, its
+# class-0 count, and the node after it (None when the chain ends at a leaf)
+_Link = tuple[tuple[int, ...], _Row, int, "_Trie | None"]
+# a resolved trie node: per edge in trie order, its groups (joined with the
+# unary links below it) and the resolved node after them, or None for a leaf
+_Node = list[tuple[list[_Group], "_Node | None"]]
+
+
+def _sum_rows(*rows: _Row) -> _Row:
+    """The sum of sparse rows, at distinct positions, without zero entries."""
+    total: dict[int, int] = {}
+    get = total.get
+    for row in rows:
+        for k, v in row:
+            total[k] = get(k, 0) + v
+    return tuple([kv for kv in total.items() if kv[1]])
 
 
 class _Tally(dict):
@@ -335,9 +357,21 @@ def check_case(n: int, d: int) -> CaseCertificate:
     once, as a stack of per-cell class groups: pushing a group adds its
     summed row to the deviation and popping it subtracts the row, and a
     pattern is classified from two running counts, in time linear in the
-    support of its last group.  No pattern list is built.  Survivors and
-    near misses are sorted by pattern at the end, so the certificate is
-    the one the sorted pattern stream would give.
+    support of its last group.  No pattern list is built.
+
+    Each trie node is resolved once, on its identity, into its edges in
+    trie order with their groups.  A child with one edge, from a cell of
+    one class, has exactly one group: a unary link.  A chain of links is
+    joined into every group of the edge above it (classes concatenated,
+    rows concatenated, class-0 counts added), so it costs one push, and
+    the edge then leads to the node after the chain, or becomes a leaf
+    edge.  A leaf scores its row without writing the deviation, so a
+    chain that ends at a leaf has its row summed into distinct
+    positions.  Edges keep their trie order, leaf edges among inner
+    ones, so a bound violation is reported on the first violating
+    pattern in trie order.  tuples_examined counts patterns, not
+    pushes.  Survivors and near misses are sorted by pattern at the end,
+    so the certificate is the one the sorted pattern stream would give.
     """
     cands = candidate_divisors(n)
     if not cands.applicable:
@@ -381,20 +415,61 @@ def check_case(n: int, d: int) -> CaseCertificate:
     # (cell, count) -> each combination of `count` classes of the cell, with
     # its summed sparse row and its class-0 count, built at first use
     groups: dict[tuple[int, int], list[_Group]] = {}
+    # trie node identity -> its joined chain of unary links / its resolved edges
+    chains: dict[int, _Link] = {}
+    resolved: dict[int, _Node] = {}
     stack: list[tuple[int, ...]] = []  # the groups on the path above the current edge
 
-    def groups_of(edge: tuple[int, int]) -> list[_Group]:
+    def groups_of(i: int, c: int) -> list[_Group]:
+        out = groups.get((i, c))
+        if out is None:
+            out = groups[i, c] = []
+            for group in combinations_with_replacement(cells[i], c):
+                delta = _sum_rows(*(rows[x] for x in group))
+                for k, _ in delta:
+                    acc.setdefault(k, 0)
+                out.append((group, delta, group.count(0)))
+        return out
+
+    def is_link(node: _Trie | None) -> bool:
+        # one edge, from a cell of one class: exactly one group
+        return node is not None and len(node) == 1 and len(cells[node[0][0]]) == 1
+
+    def link_chain(node: _Trie) -> _Link:
+        # the groups of a chain of unary links, joined once per chain start:
+        # classes and rows concatenated, class-0 counts added
+        got = chains.get(id(node))
+        if got is None:
+            start, classes, row, zeros = node, [], [], 0
+            while is_link(node):
+                i, c, node = node[0]
+                ((group, delta, z),) = groups_of(i, c)
+                classes += group
+                row += delta
+                zeros += z
+            got = chains[id(start)] = (tuple(classes), tuple(row), zeros, node)
+        return got
+
+    def resolve(node: _Trie) -> _Node:
+        # node's edges in trie order, each with its groups joined with the
+        # unary links below it and the node after them (None for a leaf edge)
+        out = resolved.get(id(node))
+        if out is not None:
+            return out
         out = []
-        for group in combinations_with_replacement(cells[edge[0]], edge[1]):
-            row: dict[int, int] = {}
-            for x in group:
-                for k, v in rows[x]:
-                    row[k] = row.get(k, 0) + v
-            delta = tuple((k, v) for k, v in row.items() if v)
-            for k, _ in delta:
-                acc.setdefault(k, 0)
-            out.append((group, delta, group.count(0)))
-        groups[edge] = out
+        for i, c, child in node:
+            gs = groups_of(i, c)
+            if is_link(child):
+                classes, row, zeros, child = link_chain(child)
+                if child is None:
+                    # a leaf scores its row without writing acc, so its
+                    # positions must be distinct
+                    gs = [(g + classes, _sum_rows(delta, row), z + zeros) for g, delta, z in gs]
+                else:
+                    # a push writes acc entry by entry, so positions may repeat
+                    gs = [(g + classes, delta + row, z + zeros) for g, delta, z in gs]
+            out.append((gs, None if child is None else resolve(child)))
+        resolved[id(node)] = out
         return out
 
     def classify_slow(group: tuple[int, ...], delta: _Row, zeros: int) -> None:
@@ -420,10 +495,9 @@ def check_case(n: int, d: int) -> CaseCertificate:
         for k, v in delta:
             acc[k] -= v
 
-    def search(node: _Trie, state: int, zeros: int) -> None:
+    def search(node: _Node, state: int, zeros: int) -> None:
         nonlocal examined
-        for i, c, child in node:
-            gs = groups.get((i, c)) or groups_of((i, c))
+        for gs, child in node:
             if child is None:
                 # a leaf per group: score it without writing to acc
                 examined += len(gs)
@@ -454,8 +528,10 @@ def check_case(n: int, d: int) -> CaseCertificate:
                 for k, v in delta:
                     acc[k] -= v
 
-    search(trie, sum(tally[v] for v in acc.values()), 0)
-    del search  # as in _assignment_trie: free the groups and rows on return
+    search(resolve(trie), sum(tally[v] for v in acc.values()), 0)
+    # as in _assignment_trie: unbinding the recursive closures frees the
+    # groups, rows and resolved nodes on return
+    del resolve, search
     if stats["weight_filter_failures"]:
         raise InvariantViolationError(
             f"enumeration emitted a pattern violating the class-0 slot rule at (n={n}, d={d})"

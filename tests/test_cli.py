@@ -58,6 +58,15 @@ def test_case_invalid_divisor(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-15"])
+def test_case_rejects_an_order_that_is_not_positive(n, tmp_path, capsys):
+    # the reason names the sign of n, not its parity (0) or its size (-15)
+    code = main(["case", "--n", n, "--d", "3", "--output", str(tmp_path / "x.json")])
+    assert code == 2
+    assert not (tmp_path / "x.json").exists()
+    assert capsys.readouterr().err == f"error: order {n} not applicable: non-positive order\n"
+
+
 def test_case_dropped_divisor_is_invalid(tmp_path, capsys):
     code = main(["case", "--n", "45", "--d", "9", "--output", str(tmp_path / "x.json")])
     assert code == 2

@@ -193,9 +193,11 @@ def test_enumerate_patterns_is_complete():
         assert got == want, (n, d)
 
 
-def _reference_trie(n, d):
+def _reference_trie(n, d, reverse=False):
     # the assignment-trie walk before memoization: a plain recursion over
-    # residue-counter dicts, with no state shared between calls
+    # residue-counter dicts, with no state shared between calls.  With
+    # reverse=True the cells are visited in the opposite order, which gives
+    # another trie of the same patterns.
     moduli = [n // p for p in prime_divisors(n)]
     counters = []
     for m in moduli:
@@ -209,7 +211,7 @@ def _reference_trie(n, d):
         proj = tuple(class_rep(m, x) for m in moduli)
         if all(y in counter for counter, y in zip(counters, proj)):
             by_proj.setdefault(proj, []).append(x)
-    projs = sorted(by_proj)
+    projs = sorted(by_proj, reverse=reverse)
     cells = [tuple(by_proj[proj]) for proj in projs]
     last = [{} for _ in moduli]
     for i, proj in enumerate(projs):
@@ -502,6 +504,223 @@ def test_check_case_is_symmetric_under_negated_rows(monkeypatch):
             replace(nm, deviation=-nm.deviation) for nm in cert.near_misses
         ), (n, d)
     assert check_case(15, 3).near_misses
+
+
+def _reference_check_case(n, d):
+    # check_case as it was before unary links were joined: one push per
+    # group of every inner trie edge.  It reads the rows and the trie through
+    # the helpengine module, so a test that patches them patches both sides.
+    from itertools import chain, combinations_with_replacement
+
+    from torunits import helpengine
+    from torunits.helpengine import CaseCertificate, InvariantViolationError, _Tally
+    from torunits.numtheory import prime_count
+
+    zero_slot_open = {c.d: c.zero_slot_open for c in candidate_divisors(n).retained}[d]
+    basis, rows = basis_indices(n), helpengine.trace_coordinates(n)
+    cells, trie = helpengine._assignment_trie(n, d)
+    cap = 2 ** (prime_count(d) + 2)
+    stats = {
+        "weight_filter_failures": 0,
+        "deviation_zero": 0,
+        "divisibility_failures": 0,
+        "near_misses": 0,
+        "survivors": 0,
+    }
+    survivors = []
+    near = []
+    examined = 0
+    acc = {}
+    for i in range(1, d + 1):
+        for k, v in rows[class_rep(n, i)]:
+            acc[k] = acc.get(k, 0) - v
+    shift = len(basis).bit_length()
+    tally = _Tally(d, shift)
+    groups = {}
+    stack = []
+
+    def groups_of(edge):
+        out = []
+        for group in combinations_with_replacement(cells[edge[0]], edge[1]):
+            row = {}
+            for x in group:
+                for k, v in rows[x]:
+                    row[k] = row.get(k, 0) + v
+            delta = tuple((k, v) for k, v in row.items() if v)
+            for k, _ in delta:
+                acc.setdefault(k, 0)
+            out.append((group, delta, group.count(0)))
+        groups[edge] = out
+        return out
+
+    def classify_slow(group, delta, zeros):
+        for k, v in delta:
+            acc[k] += v
+        classes = tuple(sorted(chain(*stack, group)))
+        max_abs = max(map(abs, acc.values()))
+        bound = cap + 1 if zeros else cap
+        if max_abs > bound:
+            raise InvariantViolationError(
+                f"deviation {max_abs} exceeds bound {bound} on pattern {classes} at (n={n}, d={d})"
+            )
+        failing = [k for k, v in acc.items() if v % d]
+        if not failing:
+            stats["survivors"] += 1
+            survivors.append(classes)
+        else:
+            stats["divisibility_failures"] += 1
+            stats["near_misses"] += 1
+            k = min(failing)
+            near.append(NearMiss(classes, max_abs, basis[k], acc[k]))
+        for k, v in delta:
+            acc[k] -= v
+
+    def search(node, state, zeros):
+        nonlocal examined
+        for i, c, child in node:
+            gs = groups.get((i, c)) or groups_of((i, c))
+            if child is None:
+                examined += len(gs)
+                for group, delta, z in gs:
+                    s = state
+                    for k, v in delta:
+                        old = acc[k]
+                        s += tally[old + v] - tally[old]
+                    zs = zeros + z
+                    if zs > 1 or (zs and not zero_slot_open):
+                        stats["weight_filter_failures"] += 1
+                    if s >> shift:
+                        classify_slow(group, delta, zs)
+                    elif s:
+                        stats["divisibility_failures"] += 1
+                    else:
+                        stats["deviation_zero"] += 1
+                continue
+            for group, delta, z in gs:
+                s = state
+                for k, v in delta:
+                    old = acc[k]
+                    acc[k] = new = old + v
+                    s += tally[new] - tally[old]
+                stack.append(group)
+                search(child, s, zeros + z)
+                stack.pop()
+                for k, v in delta:
+                    acc[k] -= v
+
+    search(trie, sum(tally[v] for v in acc.values()), 0)
+    del search
+    if stats["weight_filter_failures"]:
+        raise InvariantViolationError(
+            f"enumeration emitted a pattern violating the class-0 slot rule at (n={n}, d={d})"
+        )
+    survivors.sort()
+    near.sort(key=lambda nm: nm.pattern)
+    return CaseCertificate(
+        n=n,
+        d=d,
+        zero_slot_open=zero_slot_open,
+        verdict="eliminated" if not survivors else "survivors_found",
+        tuples_examined=examined,
+        pruning_stats=stats,
+        survivors=tuple(survivors),
+        near_misses=tuple(near),
+        basis=basis,
+    )
+
+
+def _certificate_json(cert):
+    return json.dumps(cert.to_json_dict(), indent=2)
+
+
+def test_check_case_matches_the_reference_search():
+    # joining unary links changes how the search pushes, not what it finds:
+    # byte-equal certificates on every retained case of odd composite n < 400
+    cases = [(n, d) for n in _odd_composites(400) for d in candidate_divisors(n).retained_ds]
+    assert len(cases) == 137
+    for n, d in cases:
+        want = _certificate_json(_reference_check_case(n, d))
+        assert _certificate_json(check_case(n, d)) == want, (n, d)
+
+
+# cases whose tries hold unary links: (21, 3), (45, 5) and (175, 7) have
+# chains that end at a leaf, (45, 5), (75, 5) and (105, 7) chains of two or
+# more links, and (195, 15) inner edges ahead of leaf edges in one node.
+# With the cells reversed, class 0 is the last cell, so its edge is a leaf
+# link in the class-0 slot cases (15, 5) and (21, 7).
+_LINKED_CASES = [
+    (15, 3),
+    (15, 5),
+    (21, 3),
+    (21, 7),
+    (35, 5),
+    (45, 5),
+    (63, 7),
+    (75, 5),
+    (105, 7),
+    (175, 7),
+    (195, 15),
+]
+
+
+def _run_with_rows(n, d, reverse, scale):
+    # check_case and the reference on rows scaled per class (scale[x]) and on
+    # the trie with its cells in the given order: each side's certificate
+    # JSON, or the message of the InvariantViolationError it stopped at
+    from torunits import helpengine
+    from torunits.helpengine import InvariantViolationError
+    from torunits.realbasis import trace_coordinates
+
+    rows = {x: tuple((k, scale[x] * v) for k, v in row) for x, row in trace_coordinates(n).items()}
+    trie = _reference_trie(n, d, reverse)
+
+    def run(search):
+        try:
+            return _certificate_json(search(n, d))
+        except InvariantViolationError as exc:
+            return f"raised: {exc}"
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(helpengine, "trace_coordinates", lambda m: rows)
+        mp.setattr(helpengine, "_assignment_trie", lambda m, e: trie)
+        return run(helpengine.check_case), run(_reference_check_case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_joined_links_match_the_reference_on_scaled_rows(data):
+    # each class's row times a drawn factor, and all of them times 1, 2 or d:
+    # the bound, divisibility and zero tests then meet values the real rows
+    # never reach (survivors, near misses, bound violations), and they meet
+    # them through joined links.  The certificates must be equal, or both
+    # searches must stop at the same first violation.
+    n, d = data.draw(st.sampled_from(_LINKED_CASES), label="case")
+    reverse = data.draw(st.booleans(), label="reverse")
+    unit = data.draw(st.sampled_from([1, 2, d]), label="unit")
+    factors = data.draw(
+        st.lists(st.integers(-1, 1), min_size=n // 2 + 1, max_size=n // 2 + 1), label="factors"
+    )
+    got, want = _run_with_rows(n, d, reverse, [unit * f for f in factors])
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "n, d, reverse, scale, first",
+    [
+        # class 0 reaches the pattern through a leaf link, so its bound is cap + 1
+        (15, 5, True, 2, "raised: deviation 10 exceeds bound 9 on pattern (0, 1, 1, 2, 2)"),
+        (21, 7, True, 2, "raised: deviation 10 exceeds bound 9 on pattern (0, 1, 1, 2, 2, 3, 4)"),
+        # an inner edge ahead of a leaf edge: the inner edge's patterns come first
+        (195, 15, False, 5, "raised: deviation 20 exceeds bound 16 on pattern (50, 51, 52,"),
+        (255, 15, False, 5, "raised: deviation 20 exceeds bound 16 on pattern (1, 6, 11,"),
+    ],
+)
+def test_joined_links_stop_at_the_reference_violation(n, d, reverse, scale, first):
+    # every row times `scale`: many patterns break the bound, and the error
+    # names the first one the search meets
+    got, want = _run_with_rows(n, d, reverse, [scale] * (n // 2 + 1))
+    assert got == want
+    assert got.startswith(first)
 
 
 def test_check_case_rejects_inapplicable():
