@@ -126,7 +126,7 @@ def eigenvalue_multiplicity(
 
 
 def explore_size(n: int) -> int:
-    """How many vectors explore_augmentations(n) tests with the default bound 1.
+    """How many vectors explore_augmentations(n) tests.
 
     These are the vectors in {-1, 0, 1}^(n//2) with entry sum 1: b + 1
     entries 1 and b entries -1 for some b.
@@ -137,10 +137,10 @@ def explore_size(n: int) -> int:
     return sum(comb(k, b + 1) * comb(k - b - 1, b) for b in range(k))
 
 
-def explore_augmentations(n: int, m_max: int = 3, bound: int = 1) -> list[AugVector]:
+def explore_augmentations(n: int, m_max: int = 3) -> list[AugVector]:
     """Exploratory search over small augmentation vectors for units of order n.
 
-    Enumerates every vector with entries in [-bound, bound] over the
+    Enumerates every vector with entries in {-1, 0, 1} over the
     nonzero classes (class 0 fixed at 0, total 1) and keeps those whose
     eigenvalue multiplicities, computed under the power hypothesis
     u^c ~ g^c, are nonnegative integers symmetric under l -> -l for all
@@ -149,8 +149,8 @@ def explore_augmentations(n: int, m_max: int = 3, bound: int = 1) -> list[AugVec
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need an odd order >= 3, got {n}")
-    if m_max < 1 or bound < 1:
-        raise ValueError("need m_max >= 1 and bound >= 1")
+    if m_max < 1:
+        raise ValueError(f"need m_max >= 1, got {m_max}")
     reps = class_reps(n)[1:]
     powers = induction_powers(n)
 
@@ -167,7 +167,6 @@ def explore_augmentations(n: int, m_max: int = 3, bound: int = 1) -> list[AugVec
     }
 
     found = []
-    span = range(-bound, bound + 1)
 
     def walk(idx: int, total: int, values: list[int]):
         if idx == len(reps):
@@ -189,10 +188,11 @@ def explore_augmentations(n: int, m_max: int = 3, bound: int = 1) -> list[AugVec
                         return
             found.append(AugVector(n, dict(zip(reps, values))))
             return
-        remaining = len(reps) - idx
-        for v in span:
+        # the entries after this one can still move the total by `rest` either way
+        rest = len(reps) - idx - 1
+        for v in (-1, 0, 1):
             t = total + v
-            if t - bound * (remaining - 1) <= 1 <= t + bound * (remaining - 1):
+            if t - rest <= 1 <= t + rest:
                 values.append(v)
                 walk(idx + 1, t, values)
                 values.pop()

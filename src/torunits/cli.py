@@ -181,21 +181,31 @@ def _cmd_nt_check(args: argparse.Namespace) -> tuple[list[dict], bool]:
 
 
 def _read_instance(path: str) -> PowerSums:
-    """Instance file: first line "n d", then n lines with A_0..A_{n-1}."""
+    """Instance file: first line "n d", then n lines with A_0..A_{n-1}; blank lines are skipped."""
     try:
-        lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+        text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read instance file {path}: {exc}") from exc
+    # (line number in the file, text) of every non-blank line
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"instance file {path} is empty")
-    head = lines[0].split()
-    if len(head) != 2:
+    k, head = lines[0]
+    words = [(k, w) for w in head.split()]
+    if len(words) != 2:
         raise ValueError(f"instance file {path}: first line must be 'n d'")
-    n, d = (int(x) for x in head)
-    body = lines[1:]
-    if len(body) != n:
-        raise ValueError(f"instance file {path}: expected {n} coefficient lines, got {len(body)}")
-    return PowerSums(n, tuple(int(x) for x in body), d)
+    values = []
+    for k, w in words + lines[1:]:
+        try:
+            values.append(int(w))  # int() skips surrounding whitespace
+        except ValueError:
+            raise ValueError(
+                f"instance file {path}: line {k}: {w.strip()!r} is not an integer"
+            ) from None
+    n, d, *coeffs = values
+    if len(coeffs) != n:
+        raise ValueError(f"instance file {path}: expected {n} coefficient lines, got {len(coeffs)}")
+    return PowerSums(n, tuple(coeffs), d)
 
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[list[dict], bool]:

@@ -15,6 +15,11 @@ indexed by sign classes, w(i) = sum_x B_x * real_trace(n, i*x), and the
 conclusion is membership in d*Z[zeta_n + zeta_n^-1] (every coordinate
 in the distinguished basis divisible by d).
 
+cyclotomic_value_divisible never builds Phi_(n*p^m): that polynomial
+is Phi_rad(X^(M/rad)) for the radical rad of n*p, so the value is the
+radical polynomial's coefficients folded into Z[zeta_n] with step
+(M/rad) mod n, and p^m is only ever taken mod n.
+
 Membership in p*Z[zeta_n] is decided on reduced power-basis
 coordinates, membership in the real subring on distinguished-basis
 coordinates from the closed formula; both are exact integer
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Sequence
 
-from torunits.cyclotomic import CycInt, IntPoly, _fold, _fold_pairs, cyclotomic_poly, eval_at_root
-from torunits.numtheory import class_reps, factorize, is_prime
+from torunits.cyclotomic import CycInt, IntPoly, _fold, _fold_pairs, cyclotomic_poly
+from torunits.numtheory import class_reps, factorize, is_prime, radical
 from torunits.realbasis import decompose_combination
 
 
@@ -38,8 +43,20 @@ def cyclotomic_value_divisible(n: int, p: int, m: int) -> bool:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    value = eval_at_root(cyclotomic_poly(n * p**m), n)
-    return value.divisible_by(p)
+    return _cyclotomic_value(n, p, m).divisible_by(p)
+
+
+def _cyclotomic_value(n: int, p: int, m: int) -> CycInt:
+    """The (n*p^m)-th cyclotomic polynomial at zeta_n, by the radical fold.
+
+    With M = n*p^m and rad = rad(n*p) = rad(M), Phi_M(X) = Phi_rad(X^(M/rad)),
+    so the value is Phi_rad folded into Z[zeta_n] with step (M/rad) mod n.
+    M/rad = (n*p/rad) * p^(m-1), and pow reduces the power mod n, so
+    neither p^m nor Phi_M is built.
+    """
+    rad = radical(n * p)
+    step = n * p // rad * pow(p, m - 1, n) % n
+    return CycInt(n, _fold(cyclotomic_poly(rad).coeffs, step, n))
 
 
 @dataclass(frozen=True)

@@ -41,12 +41,15 @@ carrying the deviation as a sparse sum of the closed-formula rows of
 realbasis.trace_coordinates, and classifies each tuple when it reaches
 it, without listing the tuples.  It first resolves each DAG node once,
 looking up its edges' class groups.  A node with one edge, from a cell
-of one class, has one group: a unary link.  A chain of unary links is
-joined into every group of the edge above it, so a run of one-class
-cells costs one push.  It classifies in trie order and sorts only the
-survivors and near misses, in one process, so certificates are
-byte-stable.  enumerate_patterns expands the same trie into the
-sorted tuple stream the tests check against.
+of one class, has one group: a unary link.  Resolving a node joins each
+resolved link below it into every group of the edge above it, so a run
+of one-class cells costs one push and each link node is handled once.
+Rows stay concatenated along a chain; the first node above it that is
+not a link, or the root, sums the row of a chain that ends at a leaf.
+It classifies in trie order and sorts only the survivors and near
+misses, in one process, so certificates are byte-stable.
+enumerate_patterns expands the same trie into the sorted tuple stream
+the tests check against.
 """
 
 from __future__ import annotations
@@ -267,11 +270,11 @@ def enumerate_patterns(n: int, d: int) -> Iterator[tuple[int, ...]]:
 _Row = tuple[tuple[int, int], ...]  # sparse (basis position, value) pairs
 # a combination of classes of one cell, its summed row and its class-0 count
 _Group = tuple[tuple[int, ...], _Row, int]
-# a chain of unary links, joined: its classes, its rows concatenated, its
-# class-0 count, and the node after it (None when the chain ends at a leaf)
-_Link = tuple[tuple[int, ...], _Row, int, "_Trie | None"]
 # a resolved trie node: per edge in trie order, its groups (joined with the
-# unary links below it) and the resolved node after them, or None for a leaf
+# unary links below it) and the resolved node after them, or None for a leaf.
+# Each node, link or not, is resolved once.  Rows stay concatenated along a
+# chain of links; the first node above it that is not a link, or the root,
+# sums the row of a chain that ends at a leaf into distinct positions.
 _Node = list[tuple[list[_Group], "_Node | None"]]
 
 
@@ -359,19 +362,22 @@ def check_case(n: int, d: int) -> CaseCertificate:
     pattern is classified from two running counts, in time linear in the
     support of its last group.  No pattern list is built.
 
-    Each trie node is resolved once, on its identity, into its edges in
-    trie order with their groups.  A child with one edge, from a cell of
-    one class, has exactly one group: a unary link.  A chain of links is
-    joined into every group of the edge above it (classes concatenated,
-    rows concatenated, class-0 counts added), so it costs one push, and
-    the edge then leads to the node after the chain, or becomes a leaf
-    edge.  A leaf scores its row without writing the deviation, so a
-    chain that ends at a leaf has its row summed into distinct
-    positions.  Edges keep their trie order, leaf edges among inner
-    ones, so a bound violation is reported on the first violating
-    pattern in trie order.  tuples_examined counts patterns, not
-    pushes.  Survivors and near misses are sorted by pattern at the end,
-    so the certificate is the one the sorted pattern stream would give.
+    Each trie node, link or not, is resolved once, on its identity, into
+    its edges in trie order with their groups, its children first.  A
+    resolved child with one edge and one group is a unary link: one
+    edge, from a cell of one class.  Its group, already joined with the
+    chain below it, is joined into every group of the edge above it
+    (classes concatenated, rows concatenated, class-0 counts added), so
+    a chain costs one push, and the edge then leads to whatever follows
+    the chain, or becomes a leaf edge.  A leaf scores its row without
+    writing the deviation, so the first node above a chain that is not a
+    link itself, or the root, sums the row of a chain that ends at a
+    leaf into distinct positions.  Edges keep their trie order, leaf
+    edges among inner ones, so a bound violation is reported on the
+    first violating pattern in trie order.  tuples_examined counts
+    patterns, not pushes.  Survivors and near misses are sorted by
+    pattern at the end, so the certificate is the one the sorted pattern
+    stream would give.
     """
     cands = candidate_divisors(n)
     if not cands.applicable:
@@ -415,8 +421,7 @@ def check_case(n: int, d: int) -> CaseCertificate:
     # (cell, count) -> each combination of `count` classes of the cell, with
     # its summed sparse row and its class-0 count, built at first use
     groups: dict[tuple[int, int], list[_Group]] = {}
-    # trie node identity -> its joined chain of unary links / its resolved edges
-    chains: dict[int, _Link] = {}
+    # trie node identity -> its resolved edges
     resolved: dict[int, _Node] = {}
     stack: list[tuple[int, ...]] = []  # the groups on the path above the current edge
 
@@ -431,44 +436,30 @@ def check_case(n: int, d: int) -> CaseCertificate:
                 out.append((group, delta, group.count(0)))
         return out
 
-    def is_link(node: _Trie | None) -> bool:
-        # one edge, from a cell of one class: exactly one group
-        return node is not None and len(node) == 1 and len(cells[node[0][0]]) == 1
-
-    def link_chain(node: _Trie) -> _Link:
-        # the groups of a chain of unary links, joined once per chain start:
-        # classes and rows concatenated, class-0 counts added
-        got = chains.get(id(node))
-        if got is None:
-            start, classes, row, zeros = node, [], [], 0
-            while is_link(node):
-                i, c, node = node[0]
-                ((group, delta, z),) = groups_of(i, c)
-                classes += group
-                row += delta
-                zeros += z
-            got = chains[id(start)] = (tuple(classes), tuple(row), zeros, node)
-        return got
-
     def resolve(node: _Trie) -> _Node:
         # node's edges in trie order, each with its groups joined with the
-        # unary links below it and the node after them (None for a leaf edge)
+        # unary links below it and the resolved node after them (None for a
+        # leaf edge)
         out = resolved.get(id(node))
         if out is not None:
             return out
         out = []
         for i, c, child in node:
             gs = groups_of(i, c)
-            if is_link(child):
-                classes, row, zeros, child = link_chain(child)
-                if child is None:
-                    # a leaf scores its row without writing acc, so its
-                    # positions must be distinct
-                    gs = [(g + classes, _sum_rows(delta, row), z + zeros) for g, delta, z in gs]
-                else:
-                    # a push writes acc entry by entry, so positions may repeat
-                    gs = [(g + classes, delta + row, z + zeros) for g, delta, z in gs]
-            out.append((gs, None if child is None else resolve(child)))
+            if child is not None:
+                child = resolve(child)
+                if len(child) == 1 and len(child[0][0]) == 1:
+                    # a unary link, already joined with the chain below it
+                    ((classes, row, zeros),), child = child[0]
+                    if child is None and (node is trie or len(node) > 1 or len(gs) > 1):
+                        # a leaf scores its row without writing acc, so the
+                        # first node above the chain that is not a link, or
+                        # the root, sums the row into distinct positions
+                        gs = [(g + classes, _sum_rows(delta, row), z + zeros) for g, delta, z in gs]
+                    else:
+                        # a push writes acc entry by entry, so positions may repeat
+                        gs = [(g + classes, delta + row, z + zeros) for g, delta, z in gs]
+            out.append((gs, child))
         resolved[id(node)] = out
         return out
 

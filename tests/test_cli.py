@@ -79,6 +79,14 @@ def test_lemma_phi(tmp_path):
     assert payload["results"][0]["divisible"] is True
 
 
+def test_lemma_phi_large_exponent(tmp_path, capsys):
+    # 7^40 is never raised in full, and neither is Phi_(45*7^40) built
+    code, payload = run_cli(["lemma-phi", "--n", "45", "--p", "7", "--m", "40"], tmp_path)
+    assert code == 0
+    assert payload["results"] == [{"n": 45, "p": 7, "m": 40, "divisible": True}]
+    assert "divisible" in capsys.readouterr().out
+
+
 def test_lemma_phi_missing_flag(tmp_path, capsys):
     code = main(["lemma-phi", "--n", "45", "--output", str(tmp_path / "x.json")])
     assert code == 2
@@ -116,6 +124,24 @@ def test_nt_check_bad_file(tmp_path, capsys):
     code = main(["nt-check", "--input", str(inst), "--output", str(tmp_path / "x.json")])
     assert code == 2
     assert "expected 15 coefficient lines" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("3 x\n1\n1\n1\n", "line 1: 'x' is not an integer"),
+        ("3 3\n1\n1 2\n1\n", "line 3: '1 2' is not an integer"),
+        # blank lines count toward the line number
+        ("\n3 3\n\n1\n\nz\n1\n", "line 6: 'z' is not an integer"),
+    ],
+)
+def test_nt_check_names_the_line_of_a_malformed_number(text, where, tmp_path, capsys):
+    inst = tmp_path / "bad.txt"
+    inst.write_text(text)
+    code = main(["nt-check", "--input", str(inst), "--output", str(tmp_path / "x.json")])
+    assert code == 2
+    assert not (tmp_path / "x.json").exists()
+    assert capsys.readouterr().err == f"error: instance file {inst}: {where}\n"
 
 
 def test_basis_command(tmp_path):

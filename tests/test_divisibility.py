@@ -6,6 +6,7 @@ from torunits.cyclotomic import CycInt, cyclotomic_poly, eval_at_root
 from torunits.divisibility import (
     PowerSums,
     VanishingVerdict,
+    _cyclotomic_value,
     check_vanishing,
     check_vanishing_real,
     cyclotomic_value_divisible,
@@ -32,6 +33,17 @@ def test_cyclotomic_value_divisible_examples():
     assert eval_at_root(cyclotomic_poly(6), 3) == -2 * CycInt.root(3)
     assert cyclotomic_value_divisible(5, 5, 1)
     assert eval_at_root(cyclotomic_poly(25), 5) == CycInt.integer(5, 5)
+
+
+def test_cyclotomic_value_matches_the_full_polynomial():
+    # the radical fold against Phi_(n*p^m) built in full (uncached) and
+    # evaluated at zeta_n: equal reduced values, so equal verdicts
+    for n in range(1, 46):
+        for p in (2, 3, 5, 7, 11, 13):
+            for m in (1, 2, 3):
+                direct = eval_at_root(cyclotomic_poly.__wrapped__(n * p**m), n)
+                assert _cyclotomic_value(n, p, m).reduced == direct.reduced, (n, p, m)
+                assert cyclotomic_value_divisible(n, p, m) == direct.divisible_by(p), (n, p, m)
 
 
 def test_cyclotomic_value_divisible_validates():

@@ -647,7 +647,9 @@ def test_check_case_matches_the_reference_search():
 # chains that end at a leaf, (45, 5), (75, 5) and (105, 7) chains of two or
 # more links, and (195, 15) inner edges ahead of leaf edges in one node.
 # With the cells reversed, class 0 is the last cell, so its edge is a leaf
-# link in the class-0 slot cases (15, 5) and (21, 7).
+# link in the class-0 slot cases (15, 5) and (21, 7).  In (273, 7) the root
+# itself is a link: the whole trie is one chain from the root to its leaf,
+# so only the root can sum that chain's row, whose classes share positions.
 _LINKED_CASES = [
     (15, 3),
     (15, 5),
@@ -660,6 +662,7 @@ _LINKED_CASES = [
     (105, 7),
     (175, 7),
     (195, 15),
+    (273, 7),
 ]
 
 
@@ -799,6 +802,13 @@ def test_explore_augmentations_n15():
         assert v == 1
         # every solution is a generator class whose powers match g's powers
         assert all(class_rep(15, x * c) == class_rep(15, c) for c in (3, 5))
+
+
+def test_explore_augmentations_validates():
+    with pytest.raises(ValueError, match="m_max"):
+        explore_augmentations(15, m_max=0)
+    with pytest.raises(ValueError, match="odd order"):
+        explore_augmentations(16)
 
 
 def test_explore_augmentations_agrees_with_eigenvalue_multiplicity():
