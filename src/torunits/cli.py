@@ -104,13 +104,15 @@ def _write_report(path: Path, args: argparse.Namespace, results: list[dict], ok:
         "results": results,
     }
     # write a sibling file, then rename it over the report, so a failed
-    # write never leaves a truncated report behind
+    # write never leaves a truncated report behind; after a rename there
+    # is no sibling left to remove
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[list[dict], bool]:

@@ -11,7 +11,8 @@ computed lazily and cached; the cache write is idempotent (every writer
 computes the same tuple), so instances may be shared across threads.
 
 All coefficients are arbitrary-precision Python integers; cyclotomic
-polynomials are obtained by exact division, never numerically.
+polynomials are products of the binomials X^e - 1 and exact quotients
+by them (the Moebius product), never computed numerically.
 
 Three private primitives on coefficient lists carry this arithmetic,
 and that of divisibility, realbasis, augment and oracles: _fold
@@ -27,7 +28,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from torunits.numtheory import divisors, euler_phi, radical
+from torunits.numtheory import divisors, euler_phi, moebius, radical
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -165,12 +166,15 @@ class IntPoly:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> IntPoly:
-    """The m-th cyclotomic polynomial, by iterated exact division.
+    """The m-th cyclotomic polynomial, as a product of exact binomial quotients.
 
-    For squarefree m, X^m - 1 is divided by the polynomials of the
-    proper divisors; for general m the squarefree core is inflated via
-    the exponent substitution X -> X^(m/rad(m)).  Both steps are exact
-    integer arithmetic and the result is checked to be monic of degree
+    For squarefree m > 1, Phi_m = prod over e | m of (X^e - 1)^mu(m/e):
+    the binomials with mu = +1 are multiplied, and then those with
+    mu = -1 are divided out exactly, each step one pass over the
+    coefficients; a division that leaves a remainder raises.  For
+    general m the squarefree core is inflated via the exponent
+    substitution X -> X^(m/rad(m)).  Both steps are exact integer
+    arithmetic and the result is checked to be monic of degree
     euler_phi(m).
     """
     if m < 1:
@@ -181,9 +185,15 @@ def cyclotomic_poly(m: int) -> IntPoly:
     if rad != m:
         out = cyclotomic_poly(rad).compose_x_power(m // rad)
     else:
-        out = IntPoly.x_power_minus_one(m)
-        for d in divisors(m)[:-1]:
-            out = out.divide_exact(cyclotomic_poly(d))
+        out = IntPoly((1,))
+        denominators = []
+        for e in divisors(m):
+            if moebius(m // e) == 1:
+                out = out * IntPoly.x_power_minus_one(e)
+            else:
+                denominators.append(e)
+        for e in denominators:
+            out = out.divide_exact(IntPoly.x_power_minus_one(e))
     if not out.is_monic or out.degree != euler_phi(m):
         raise ArithmeticError(f"cyclotomic polynomial computation failed for m={m}")
     return out

@@ -37,13 +37,16 @@ The admissible tuples are those meeting per-prime residue multisets
 builds them as a trie of per-cell class counts, memoized on the residue
 counters packed into one int, so equal subtries are built once and
 shared: the trie is a DAG.  check_case searches it depth first,
-carrying the deviation as a sparse sum of the closed-formula rows of
-realbasis.trace_coordinates, and classifies each tuple when it reaches
-it, without listing the tuples.  It first resolves each DAG node once,
-looking up its edges' class groups.  A node with one edge, from a cell
-of one class, has one group: a unary link.  Resolving a node joins each
-resolved link below it into every group of the edge above it, so a run
-of one-class cells costs one push and each link node is handled once.
+adding the sparse closed-formula rows of realbasis.trace_coordinates
+into a flat deviation list, one entry per basis position, and
+classifies each tuple when it reaches it, without listing the tuples.
+Each entry is stored plus an offset derived from the rows, so it
+indexes a list tally of the two running counts directly.  It first
+resolves each DAG node once, looking up its edges' class groups.  A
+node with one edge, from a cell of one class, has one group: a unary
+link.  Resolving a node joins each resolved link below it into every
+group of the edge above it, so a run of one-class cells costs one push
+and each link node is handled once.
 Rows stay concatenated along a chain; the first node above it that is
 not a link, or the root, sums the row of a chain that ends at a leaf.
 It classifies in trie order and sorts only the survivors and near
@@ -288,24 +291,6 @@ def _sum_rows(*rows: _Row) -> _Row:
     return tuple([kv for kv in total.items() if kv[1]])
 
 
-class _Tally(dict):
-    """tally[v]: what an accumulator value v adds to check_case's search state.
-
-    The state packs two counts over the accumulator: the nonzero values
-    in its low `shift` bits and the values with |v| >= d above them, so
-    updating one position costs two lookups.  Each count is below
-    2**shift, so neither spills into the other.
-    """
-
-    def __init__(self, d: int, shift: int):
-        super().__init__()
-        self.d, self.shift = d, shift
-
-    def __missing__(self, v: int) -> int:
-        w = self[v] = (v != 0) + ((abs(v) >= self.d) << self.shift)
-        return w
-
-
 @dataclass(frozen=True)
 class NearMiss:
     """A pattern that reaches the required deviation size but fails divisibility."""
@@ -360,7 +345,12 @@ def check_case(n: int, d: int) -> CaseCertificate:
     once, as a stack of per-cell class groups: pushing a group adds its
     summed row to the deviation and popping it subtracts the row, and a
     pattern is classified from two running counts, in time linear in the
-    support of its last group.  No pattern list is built.
+    support of its last group.  The deviation is a flat list over the
+    basis positions, each entry stored plus an offset, and the counts are
+    read from a list indexed by that stored value.  No pattern list is
+    built.  Only zero deviations, survivors and near misses are counted
+    as they are met; every other pattern is a plain divisibility
+    failure, counted once after the search.
 
     Each trie node, link or not, is resolved once, on its identity, into
     its edges in trie order with their groups, its children first.  A
@@ -405,19 +395,37 @@ def check_case(n: int, d: int) -> CaseCertificate:
     near: list[NearMiss] = []
     examined = 0
 
-    # acc: the deviation of the classes on the search path, keyed by basis
-    # position, starting from g's character data negated (the rows of the
-    # classes of 1..d); positions no row touches stay 0, which moves
-    # neither the maximum nor any test.  The search state packs two counts
-    # over acc (see _Tally); a pattern with every |v| < d cannot break
-    # the bound, as d <= cap + 1, nor be a nonzero multiple of d, so only
-    # the others take the slow path that scans acc.
-    acc: dict[int, int] = {}
-    for i in range(1, d + 1):
-        for k, v in rows[class_rep(n, i)]:
-            acc[k] = acc.get(k, 0) - v
+    # acc: the deviation of the classes on the search path, one entry per
+    # basis position, plus off, starting from g's character data negated
+    # (the rows of the classes of 1..d).  Positions no row touches stay at
+    # 0 + off, which moves neither the maximum nor any test.
+    #
+    # Why off = 2*d*m is large enough, with m the largest |row value| over
+    # the classes of 1..d and every class of a usable cell: the start is
+    # a sum of d such rows, so |acc[k]| <= d*m there.  A path places d
+    # classes, each from a usable cell, and every value the search writes
+    # or scores at k (after a push, part way through one, or a leaf's
+    # old + v) is the start plus the row values at k of some of the
+    # path's classes: a group's row sums its classes, and a joined row
+    # concatenates or sums the rows of distinct groups.  That adds at
+    # most d*m more, so 0 <= acc[k] <= 2*off.  A negative list index
+    # wraps without an error, so a smaller off would give wrong answers.
+    identity = [class_rep(n, i) for i in range(1, d + 1)]
+    m = max((abs(v) for x in chain(identity, *cells) for _, v in rows[x]), default=0)
+    off = 2 * d * m
+    acc = [off] * len(basis)
+    for x in identity:
+        for k, v in rows[x]:
+            acc[k] -= v
+    # The search state packs two counts over acc: the nonzero values in its
+    # low `shift` bits and the values with |v| >= d above them, so updating
+    # one position costs two list reads of tally[v + off], the entry for
+    # value v.  Each count is below 2**shift, so neither spills into the
+    # other.  A pattern with every |v| < d cannot break the bound, as
+    # d <= cap + 1, nor be a nonzero multiple of d, so only the others take
+    # the slow path that scans acc.
     shift = len(basis).bit_length()
-    tally = _Tally(d, shift)
+    tally = [(v != 0) + ((abs(v) >= d) << shift) for v in range(-off, off + 1)]
     # (cell, count) -> each combination of `count` classes of the cell, with
     # its summed sparse row and its class-0 count, built at first use
     groups: dict[tuple[int, int], list[_Group]] = {}
@@ -431,8 +439,6 @@ def check_case(n: int, d: int) -> CaseCertificate:
             out = groups[i, c] = []
             for group in combinations_with_replacement(cells[i], c):
                 delta = _sum_rows(*(rows[x] for x in group))
-                for k, _ in delta:
-                    acc.setdefault(k, 0)
                 out.append((group, delta, group.count(0)))
         return out
 
@@ -468,21 +474,19 @@ def check_case(n: int, d: int) -> CaseCertificate:
         for k, v in delta:
             acc[k] += v
         classes = tuple(sorted(chain(*stack, group)))
-        max_abs = max(map(abs, acc.values()))
+        max_abs = max(max(acc) - off, off - min(acc))
         bound = cap + 1 if zeros else cap
         if max_abs > bound:
             raise InvariantViolationError(
                 f"deviation {max_abs} exceeds bound {bound} on pattern {classes} at (n={n}, d={d})"
             )
-        failing = [k for k, v in acc.items() if v % d]
-        if not failing:
+        k = next((k for k, v in enumerate(acc) if (v - off) % d), None)
+        if k is None:
             stats["survivors"] += 1
             survivors.append(classes)
         else:
-            stats["divisibility_failures"] += 1
             stats["near_misses"] += 1
-            k = min(failing)
-            near.append(NearMiss(classes, max_abs, basis[k], acc[k]))
+            near.append(NearMiss(classes, max_abs, basis[k], acc[k] - off))
         for k, v in delta:
             acc[k] -= v
 
@@ -502,9 +506,7 @@ def check_case(n: int, d: int) -> CaseCertificate:
                         stats["weight_filter_failures"] += 1
                     if s >> shift:
                         classify_slow(group, delta, zs)
-                    elif s:
-                        stats["divisibility_failures"] += 1
-                    else:
+                    elif not s:
                         stats["deviation_zero"] += 1
                 continue
             for group, delta, z in gs:
@@ -519,7 +521,7 @@ def check_case(n: int, d: int) -> CaseCertificate:
                 for k, v in delta:
                     acc[k] -= v
 
-    search(resolve(trie), sum(tally[v] for v in acc.values()), 0)
+    search(resolve(trie), sum(tally[v] for v in acc), 0)
     # as in _assignment_trie: unbinding the recursive closures frees the
     # groups, rows and resolved nodes on return
     del resolve, search
@@ -527,6 +529,8 @@ def check_case(n: int, d: int) -> CaseCertificate:
         raise InvariantViolationError(
             f"enumeration emitted a pattern violating the class-0 slot rule at (n={n}, d={d})"
         )
+    # every other pattern, near misses included, fails divisibility
+    stats["divisibility_failures"] = examined - stats["deviation_zero"] - stats["survivors"]
     # patterns are unique, so sorting gives the order of the pattern stream
     survivors.sort()
     near.sort(key=lambda nm: nm.pattern)

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import random
 from math import gcd
 
@@ -19,7 +20,7 @@ from torunits.cyclotomic import (
     rational_trace,
     real_trace,
 )
-from torunits.numtheory import divisors, euler_phi
+from torunits.numtheory import divisors, euler_phi, is_prime, moebius
 
 
 def poly_remainder(num, den):
@@ -275,6 +276,28 @@ def test_cyclotomic_is_monic_of_degree_phi():
 def test_cyclotomic_vanishes_at_its_root():
     for n in range(1, 201):
         assert eval_at_root(cyclotomic_poly(n), n).is_zero(), n
+
+
+@functools.cache
+def ref_cyclotomic(m):
+    # squarefree m: X^m - 1 divided in turn by the polynomial of every
+    # proper divisor, each division checked to leave no remainder
+    out = [-1] + [0] * (m - 1) + [1]
+    for e in divisors(m)[:-1]:
+        out, rem = ref_divide(out, ref_cyclotomic(e))
+        assert not any(rem), (m, e)
+    return tuple(out)
+
+
+def test_cyclotomic_matches_the_iterated_division():
+    # the Moebius product against the iterated division, coefficient by
+    # coefficient: every squarefree m <= 400, and 15 * p for the primes
+    # 7 <= p <= 251, whose polynomials grow with p
+    squarefree = [m for m in range(1, 401) if moebius(m)]
+    fifteen_p = [15 * p for p in range(7, 252) if is_prime(p)]
+    assert len(fifteen_p) == 51
+    for m in squarefree + fifteen_p:
+        assert cyclotomic_poly(m).coeffs == ref_cyclotomic(m), m
 
 
 def test_inexact_division_raises():

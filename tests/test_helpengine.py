@@ -506,14 +506,30 @@ def test_check_case_is_symmetric_under_negated_rows(monkeypatch):
     assert check_case(15, 3).near_misses
 
 
+class _DictTally(dict):
+    # tally[v]: what an accumulator value v adds to the reference search's
+    # packed state (nonzero values in the low `shift` bits, values with
+    # |v| >= d above them), built at first use
+    def __init__(self, d, shift):
+        super().__init__()
+        self.d, self.shift = d, shift
+
+    def __missing__(self, v):
+        w = self[v] = (v != 0) + ((abs(v) >= self.d) << self.shift)
+        return w
+
+
 def _reference_check_case(n, d):
-    # check_case as it was before unary links were joined: one push per
-    # group of every inner trie edge.  It reads the rows and the trie through
-    # the helpengine module, so a test that patches them patches both sides.
+    # check_case as it was before unary links were joined and before its
+    # state became flat lists: one push per group of every inner trie edge,
+    # a dict accumulator keyed by basis position and a dict tally keyed by
+    # value, and a count per plain divisibility failure.  It reads the rows
+    # and the trie through the helpengine module, so a test that patches
+    # them patches both sides.
     from itertools import chain, combinations_with_replacement
 
     from torunits import helpengine
-    from torunits.helpengine import CaseCertificate, InvariantViolationError, _Tally
+    from torunits.helpengine import CaseCertificate, InvariantViolationError
     from torunits.numtheory import prime_count
 
     zero_slot_open = {c.d: c.zero_slot_open for c in candidate_divisors(n).retained}[d]
@@ -535,7 +551,7 @@ def _reference_check_case(n, d):
         for k, v in rows[class_rep(n, i)]:
             acc[k] = acc.get(k, 0) - v
     shift = len(basis).bit_length()
-    tally = _Tally(d, shift)
+    tally = _DictTally(d, shift)
     groups = {}
     stack = []
 
@@ -666,16 +682,12 @@ _LINKED_CASES = [
 ]
 
 
-def _run_with_rows(n, d, reverse, scale):
-    # check_case and the reference on rows scaled per class (scale[x]) and on
-    # the trie with its cells in the given order: each side's certificate
-    # JSON, or the message of the InvariantViolationError it stopped at
+def _run_on(n, d, rows, trie):
+    # check_case and the reference on the given rows and trie: each side's
+    # certificate JSON, or the message of the InvariantViolationError it
+    # stopped at
     from torunits import helpengine
     from torunits.helpengine import InvariantViolationError
-    from torunits.realbasis import trace_coordinates
-
-    rows = {x: tuple((k, scale[x] * v) for k, v in row) for x, row in trace_coordinates(n).items()}
-    trie = _reference_trie(n, d, reverse)
 
     def run(search):
         try:
@@ -689,17 +701,27 @@ def _run_with_rows(n, d, reverse, scale):
         return run(helpengine.check_case), run(_reference_check_case)
 
 
+def _run_with_rows(n, d, reverse, scale):
+    # _run_on with the rows scaled per class (scale[x]) and the trie with its
+    # cells in the given order
+    from torunits.realbasis import trace_coordinates
+
+    rows = {x: tuple((k, scale[x] * v) for k, v in row) for x, row in trace_coordinates(n).items()}
+    return _run_on(n, d, rows, _reference_trie(n, d, reverse))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_joined_links_match_the_reference_on_scaled_rows(data):
-    # each class's row times a drawn factor, and all of them times 1, 2 or d:
-    # the bound, divisibility and zero tests then meet values the real rows
-    # never reach (survivors, near misses, bound violations), and they meet
-    # them through joined links.  The certificates must be equal, or both
-    # searches must stop at the same first violation.
+    # each class's row times a drawn factor, and all of them times 1, 2, d
+    # or 1000: the bound, divisibility and zero tests then meet values the
+    # real rows never reach (survivors, near misses, bound violations), and
+    # they meet them through joined links; 1000 widens the accumulator's
+    # offset far past the real rows'.  The certificates must be equal, or
+    # both searches must stop at the same first violation.
     n, d = data.draw(st.sampled_from(_LINKED_CASES), label="case")
     reverse = data.draw(st.booleans(), label="reverse")
-    unit = data.draw(st.sampled_from([1, 2, d]), label="unit")
+    unit = data.draw(st.sampled_from([1, 2, d, 1000]), label="unit")
     factors = data.draw(
         st.lists(st.integers(-1, 1), min_size=n // 2 + 1, max_size=n // 2 + 1), label="factors"
     )
@@ -724,6 +746,27 @@ def test_joined_links_stop_at_the_reference_violation(n, d, reverse, scale, firs
     got, want = _run_with_rows(n, d, reverse, [scale] * (n // 2 + 1))
     assert got == want
     assert got.startswith(first)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n, d", [(15, 3), (21, 3), (45, 3), (35, 5), (45, 5), (63, 7)])
+def test_extreme_rows_reach_the_offset_bound(n, d, sign):
+    # check_case stores acc[k] + 2*d*m, m the largest |row value|, and reads
+    # the tally at that index.  Here every row is empty but at position 0:
+    # -sign*m for the classes of 1..d and +sign*m for those of a pattern P
+    # that shares none of them, with m = 1.  acc[0] starts at sign*d*m and
+    # P adds d*m more, so |acc[0]| reaches exactly 2*d*m, the bound the
+    # offset is derived from; at sign = 1 that is the last tally entry.  For
+    # d = 3, 6 <= cap, so the search runs to the end and P is a survivor;
+    # for larger d both searches stop at the same bound violation.
+    identity = {class_rep(n, i) for i in range(1, d + 1)}
+    p = next(p for p in enumerate_patterns(n, d) if not identity & set(p))
+    value = {x: -sign for x in identity} | {x: sign for x in p}
+    rows = {x: ((0, value[x]),) if x in value else () for x in class_reps(n)}
+    got, want = _run_on(n, d, rows, _reference_trie(n, d))
+    assert got == want
+    if d == 3:
+        assert list(p) in json.loads(got)["survivors"]
 
 
 def test_check_case_rejects_inapplicable():
