@@ -36,21 +36,19 @@ The admissible tuples are those meeting per-prime residue multisets
 (the constraints for prime c imply those for composite c).  One walk
 builds them as a trie of per-cell class counts, memoized on the residue
 counters packed into one int, so equal subtries are built once and
-shared: the trie is a DAG.  check_case searches it depth first,
-adding the sparse closed-formula rows of realbasis.trace_coordinates
-into a flat deviation list, one entry per basis position, and
-classifies each tuple when it reaches it, without listing the tuples.
-Each entry is stored plus an offset derived from the rows, so it
-indexes a list tally of the two running counts directly.  It first
-resolves each DAG node once, looking up its edges' class groups.  A
-node with one edge, from a cell of one class, has one group: a unary
-link.  Resolving a node joins each resolved link below it into every
-group of the edge above it, so a run of one-class cells costs one push
-and each link node is handled once.
-Rows stay concatenated along a chain; the first node above it that is
-not a link, or the root, sums the row of a chain that ends at a leaf.
-It classifies in trie order and sorts only the survivors and near
-misses, in one process, so certificates are byte-stable.
+shared: the trie is a DAG.  A cell of one class offers one choice, so
+the walk folds a node with a single edge from such a cell into the
+edge above it: an edge carries a run of (cell, count) steps.
+check_case searches the DAG depth first, adding the sparse
+closed-formula rows of realbasis.trace_coordinates into a flat
+deviation list, one entry per basis position, and classifies each
+tuple when it reaches it, without listing the tuples.  Each entry is
+stored plus an offset derived from the rows, so it indexes a list
+tally of the two running counts directly.  It first resolves each DAG
+node once, looking up the class groups of its edges' runs, each with
+its rows summed, so a run costs one push.  It classifies in trie order
+and sorts only the survivors and near misses, in one process, so
+certificates are byte-stable.
 enumerate_patterns expands the same trie into the sorted tuple stream
 the tests check against.
 """
@@ -58,7 +56,7 @@ the tests check against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, product
 from math import gcd
 from typing import Iterator, Mapping
 
@@ -133,12 +131,15 @@ def candidate_divisors(n: int) -> CandidateDivisors:
 
 # -- eigenvalue patterns -------------------------------------------------
 
-# A node of the assignment trie is a list of edges (cell, count, child):
-# `count` classes come from cell `cell`, and child is the node for the
-# later cells, or None when the d classes are complete.  Equal subtries
-# are one shared object, so the trie is a DAG; nothing mutates a node
-# once it is built.
-_Trie = list[tuple[int, int, "_Trie | None"]]
+# A node of the assignment trie is a list of edges (run, child).  A run is
+# a tuple of (cell, count) steps, `count` classes from cell `cell`: the
+# edge's own step, then, while the node below has a single edge whose first
+# cell has one class, that edge's steps, as such a node offers one choice.
+# child is the node after the run, or None when the d classes are
+# complete.  Equal subtries are one shared object, so the trie is a DAG;
+# nothing mutates a node once it is built.
+_Run = tuple[tuple[int, int], ...]
+_Trie = list[tuple[_Run, "_Trie | None"]]
 
 
 def _assignment_trie(n: int, d: int) -> tuple[list[tuple[int, ...]], _Trie]:
@@ -151,7 +152,10 @@ def _assignment_trie(n: int, d: int) -> tuple[list[tuple[int, ...]], _Trie]:
     residues is one the counters require.  A root-to-leaf path of the
     trie is one way to distribute the d classes over the usable cells,
     visited in order, that meets every counter exactly.  Cells taking no
-    class add no edge, and subtrees with no leaf are dropped.
+    class add no edge, and subtrees with no leaf are dropped.  A child
+    with a single edge from a one-class cell is folded into the edge
+    above it, which takes its run, so a run holds one step from any cell
+    and then only steps from one-class cells.
 
     The subtrie below cell i depends only on i and the counters, so each
     (i, counters) state is built once and shared by every path reaching
@@ -225,11 +229,15 @@ def _assignment_trie(n: int, d: int) -> tuple[list[tuple[int, ...]], _Trie]:
             if not c:
                 edges.extend(build(i + 1, remaining, packed))
             elif c == remaining:
-                edges.append((i, c, None))
+                edges.append((((i, c),), None))
             else:
                 child = build(i + 1, remaining - c, packed - c * unit[i])
-                if child:
-                    edges.append((i, c, child))
+                if len(child) == 1 and len(cells[child[0][0][0][0]]) == 1:
+                    # one edge from a one-class cell: fold its run into this edge
+                    ((run, child),) = child
+                    edges.append((((i, c),) + run, child))
+                elif child:
+                    edges.append((((i, c),), child))
         memo[key] = edges
         return edges
 
@@ -246,21 +254,24 @@ def enumerate_patterns(n: int, d: int) -> Iterator[tuple[int, ...]]:
     Each pattern is a tuple of d class representatives in [0, n/2], in
     non-decreasing order (the canonical form of its multiset).  The
     patterns are the expansions of the assignment trie that check_case
-    searches: every path's cell counts, each expanded into the
-    combinations of its cells' classes.  The stream is sorted and free
-    of duplicates up to reordering and sign normalization; it is the
-    reference the tests hold check_case's search against.
+    searches: every path's (cell, count) steps, each expanded into the
+    combinations of its cell's classes, over every step of each run.
+    The stream is sorted and free of duplicates up to reordering and
+    sign normalization; it is the reference the tests hold check_case's
+    search against.
     """
     cells, trie = _assignment_trie(n, d)
     patterns: list[tuple[int, ...]] = []
 
     def expand(node: _Trie, prefix: tuple[int, ...]) -> None:
-        for i, c, child in node:
-            for group in combinations_with_replacement(cells[i], c):
+        for run, child in node:
+            steps = [combinations_with_replacement(cells[i], c) for i, c in run]
+            for picks in product(*steps):
+                classes = prefix + tuple(chain(*picks))
                 if child is None:
-                    patterns.append(tuple(sorted(prefix + group)))
+                    patterns.append(tuple(sorted(classes)))
                 else:
-                    expand(child, prefix + group)
+                    expand(child, classes)
 
     expand(trie, ())
     del expand  # as in _assignment_trie: free the trie on return
@@ -271,13 +282,10 @@ def enumerate_patterns(n: int, d: int) -> Iterator[tuple[int, ...]]:
 # -- case analysis -------------------------------------------------------
 
 _Row = tuple[tuple[int, int], ...]  # sparse (basis position, value) pairs
-# a combination of classes of one cell, its summed row and its class-0 count
+# the classes of one choice along a run, their summed row and class-0 count
 _Group = tuple[tuple[int, ...], _Row, int]
-# a resolved trie node: per edge in trie order, its groups (joined with the
-# unary links below it) and the resolved node after them, or None for a leaf.
-# Each node, link or not, is resolved once.  Rows stay concatenated along a
-# chain of links; the first node above it that is not a link, or the root,
-# sums the row of a chain that ends at a leaf into distinct positions.
+# a resolved trie node: per edge in trie order, the groups of its run and
+# the resolved node after it, or None for a leaf
 _Node = list[tuple[list[_Group], "_Node | None"]]
 
 
@@ -352,17 +360,12 @@ def check_case(n: int, d: int) -> CaseCertificate:
     as they are met; every other pattern is a plain divisibility
     failure, counted once after the search.
 
-    Each trie node, link or not, is resolved once, on its identity, into
-    its edges in trie order with their groups, its children first.  A
-    resolved child with one edge and one group is a unary link: one
-    edge, from a cell of one class.  Its group, already joined with the
-    chain below it, is joined into every group of the edge above it
-    (classes concatenated, rows concatenated, class-0 counts added), so
-    a chain costs one push, and the edge then leads to whatever follows
-    the chain, or becomes a leaf edge.  A leaf scores its row without
-    writing the deviation, so the first node above a chain that is not a
-    link itself, or the root, sums the row of a chain that ends at a
-    leaf into distinct positions.  Edges keep their trie order, leaf
+    Each trie node is resolved once, on its identity, into its edges in
+    trie order with the groups of their runs.  A group is one choice of
+    classes from the run's first cell plus the fixed classes of its
+    one-class steps, with the rows of all of them summed into distinct
+    positions, so a run costs one push, and a leaf can score its row
+    without writing the deviation.  Edges keep their trie order, leaf
     edges among inner ones, so a bound violation is reported on the
     first violating pattern in trie order.  tuples_examined counts
     patterns, not pushes.  Survivors and near misses are sorted by
@@ -406,10 +409,10 @@ def check_case(n: int, d: int) -> CaseCertificate:
     # classes, each from a usable cell, and every value the search writes
     # or scores at k (after a push, part way through one, or a leaf's
     # old + v) is the start plus the row values at k of some of the
-    # path's classes: a group's row sums its classes, and a joined row
-    # concatenates or sums the rows of distinct groups.  That adds at
-    # most d*m more, so 0 <= acc[k] <= 2*off.  A negative list index
-    # wraps without an error, so a smaller off would give wrong answers.
+    # path's classes, since a group's row sums the rows of its classes
+    # into distinct positions.  That adds at most d*m more, so
+    # 0 <= acc[k] <= 2*off.  A negative list index wraps without an
+    # error, so a smaller off would give wrong answers.
     identity = [class_rep(n, i) for i in range(1, d + 1)]
     m = max((abs(v) for x in chain(identity, *cells) for _, v in rows[x]), default=0)
     off = 2 * d * m
@@ -426,47 +429,30 @@ def check_case(n: int, d: int) -> CaseCertificate:
     # the slow path that scans acc.
     shift = len(basis).bit_length()
     tally = [(v != 0) + ((abs(v) >= d) << shift) for v in range(-off, off + 1)]
-    # (cell, count) -> each combination of `count` classes of the cell, with
-    # its summed sparse row and its class-0 count, built at first use
-    groups: dict[tuple[int, int], list[_Group]] = {}
+    # run -> each combination of classes of its first cell plus the fixed
+    # classes of its one-class steps, with their summed sparse row and their
+    # class-0 count, built at first use
+    groups: dict[_Run, list[_Group]] = {}
     # trie node identity -> its resolved edges
     resolved: dict[int, _Node] = {}
     stack: list[tuple[int, ...]] = []  # the groups on the path above the current edge
 
-    def groups_of(i: int, c: int) -> list[_Group]:
-        out = groups.get((i, c))
+    def groups_of(run: _Run) -> list[_Group]:
+        out = groups.get(run)
         if out is None:
-            out = groups[i, c] = []
+            (i, c), fixed = run[0], ()
+            for j, k in run[1:]:
+                fixed += cells[j] * k  # a one-class cell
+            out = groups[run] = []
             for group in combinations_with_replacement(cells[i], c):
-                delta = _sum_rows(*(rows[x] for x in group))
-                out.append((group, delta, group.count(0)))
+                group += fixed
+                out.append((group, _sum_rows(*(rows[x] for x in group)), group.count(0)))
         return out
 
     def resolve(node: _Trie) -> _Node:
-        # node's edges in trie order, each with its groups joined with the
-        # unary links below it and the resolved node after them (None for a
-        # leaf edge)
         out = resolved.get(id(node))
-        if out is not None:
-            return out
-        out = []
-        for i, c, child in node:
-            gs = groups_of(i, c)
-            if child is not None:
-                child = resolve(child)
-                if len(child) == 1 and len(child[0][0]) == 1:
-                    # a unary link, already joined with the chain below it
-                    ((classes, row, zeros),), child = child[0]
-                    if child is None and (node is trie or len(node) > 1 or len(gs) > 1):
-                        # a leaf scores its row without writing acc, so the
-                        # first node above the chain that is not a link, or
-                        # the root, sums the row into distinct positions
-                        gs = [(g + classes, _sum_rows(delta, row), z + zeros) for g, delta, z in gs]
-                    else:
-                        # a push writes acc entry by entry, so positions may repeat
-                        gs = [(g + classes, delta + row, z + zeros) for g, delta, z in gs]
-            out.append((gs, child))
-        resolved[id(node)] = out
+        if out is None:
+            out = resolved[id(node)] = [(groups_of(run), child and resolve(child)) for run, child in node]
         return out
 
     def classify_slow(group: tuple[int, ...], delta: _Row, zeros: int) -> None:

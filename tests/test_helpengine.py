@@ -256,14 +256,57 @@ def _reference_trie(n, d, reverse=False):
     return cells, build(0, d)
 
 
-def _trie_paths(node, prefix=()):
-    # every root-to-leaf sequence of (cell, count) edges, in trie order
+def _unfold(node):
+    # a trie of runs written as the reference builder's trie: each run
+    # becomes a chain of one (cell, count, child) edge per step
+    out = []
+    for run, child in node:
+        child = child and _unfold(child)
+        for i, c in reversed(run[1:]):
+            child = [(i, c, child)]
+        out.append((*run[0], child))
+    return out
+
+
+def _as_runs(cells, node):
+    # the reference builder's trie with runs folded, read from the top: an
+    # edge's run goes on down while the node below it has a single edge,
+    # from a cell of one class
+    out = []
     for i, c, child in node:
-        path = prefix + ((i, c),)
-        if child is None:
-            yield path
-        else:
-            yield from _trie_paths(child, path)
+        run = ((i, c),)
+        while child is not None and len(child) == 1 and len(cells[child[0][0]]) == 1:
+            ((j, k, child),) = child
+            run += ((j, k),)
+        out.append((run, child and _as_runs(cells, child)))
+    return out
+
+
+def _fold_faults(cells, node, seen):
+    # the runs of a trie DAG that break the fold rule: a step after the
+    # first from a cell of two or more classes, or a child left unfolded
+    # that is a single edge whose first cell has one class
+    if node is None or id(node) in seen:
+        return []
+    seen.add(id(node))
+    found = [
+        run
+        for run, child in node
+        if any(len(cells[i]) > 1 for i, _ in run[1:])
+        or (child and len(child) == 1 and len(cells[child[0][0][0][0]]) == 1)
+    ]
+    for _, child in node:
+        found += _fold_faults(cells, child, seen)
+    return found
+
+
+def _node_count(node, seen):
+    # distinct nodes of a trie DAG reachable from node, node included
+    if node is not None and id(node) not in seen:
+        seen.add(id(node))
+        for _, child in node:
+            _node_count(child, seen)
+    return len(seen)
 
 
 def _odd_composites(below):
@@ -282,8 +325,11 @@ def test_assignment_trie_matches_the_reference_builder():
             cells, trie = _assignment_trie(n, d)
             ref_cells, ref_trie = _reference_trie(n, d)
             assert cells == ref_cells, (n, d)
-            # equal nested edge lists: the same (cell, count) paths, in order
-            assert trie == ref_trie, (n, d)
+            # equal nested edge lists once every run is a chain of steps:
+            # the same (cell, count) paths, in order
+            assert _unfold(trie) == ref_trie, (n, d)
+            # and the fold is maximal and takes only one-class steps
+            assert not _fold_faults(cells, trie, set()), (n, d)
             # the packed state gives each counter d.bit_length() + 1 bits;
             # a counter starts at its residue's count among 1..d and only falls
             for p in prime_divisors(n):
@@ -297,20 +343,13 @@ def test_assignment_trie_shares_equal_subtries():
     # holds far fewer distinct nodes than the tree it stands for
     from torunits.helpengine import _assignment_trie
 
-    def count(node, seen):
-        if node is not None and id(node) not in seen:
-            seen.add(id(node))
-            for _, _, child in node:
-                count(child, seen)
-        return len(seen)
-
     def tree_size(node):
         return 1 + sum(tree_size(child) for _, _, child in node if child is not None)
 
     _, trie = _assignment_trie(75, 15)
     _, ref = _reference_trie(75, 15)
-    assert tree_size(trie) == tree_size(ref)
-    assert count(trie, set()) * 10 < tree_size(trie)
+    assert tree_size(_unfold(trie)) == tree_size(ref)
+    assert _node_count(trie, set()) * 10 < tree_size(ref)
 
 
 def test_pattern_streams_match_fixture():
@@ -335,9 +374,26 @@ def test_assignment_trie_matches_the_reference_builder_property(data):
 
     n = data.draw(st.sampled_from(_ORDERS_WITH_CASES), label="n")
     d = data.draw(st.sampled_from(candidate_divisors(n).retained_ds), label="d")
-    _, trie = _assignment_trie(n, d)
-    _, ref = _reference_trie(n, d)
-    assert list(_trie_paths(trie)) == list(_trie_paths(ref))
+    cells, trie = _assignment_trie(n, d)
+    ref_cells, ref = _reference_trie(n, d)
+    # the same cells, and the reference trie with its runs folded
+    assert (cells, trie) == (ref_cells, _as_runs(ref_cells, ref))
+
+
+def test_assignment_trie_folds_one_class_runs():
+    # (273, 7): every cell on its one path has one class, so the whole trie
+    # is one leaf edge whose run has a step per cell.  The wide d = 15 DAGs
+    # keep 356 and 85 nodes, where a node per cell step would make 1,729
+    # and 807
+    from torunits.helpengine import _assignment_trie
+
+    cells, trie = _assignment_trie(273, 7)
+    assert len(trie) == 1
+    run, child = trie[0]
+    assert child is None and len(run) == 7
+    assert all(len(cells[i]) == 1 for i, _ in run)
+    assert _node_count(_assignment_trie(105, 15)[1], set()) == 356
+    assert _node_count(_assignment_trie(165, 15)[1], set()) == 85
 
 
 def test_enumerate_patterns_and_check_case_leave_no_cycles():
@@ -520,12 +576,13 @@ class _DictTally(dict):
 
 
 def _reference_check_case(n, d):
-    # check_case as it was before unary links were joined and before its
-    # state became flat lists: one push per group of every inner trie edge,
-    # a dict accumulator keyed by basis position and a dict tally keyed by
-    # value, and a count per plain divisibility failure.  It reads the rows
-    # and the trie through the helpengine module, so a test that patches
-    # them patches both sides.
+    # check_case as it was before one-class cells were folded into runs and
+    # before its state became flat lists: one push per group of every cell
+    # step, a dict accumulator keyed by basis position and a dict tally
+    # keyed by value, and a count per plain divisibility failure.  It reads
+    # the rows and the trie through the helpengine module, so a test that
+    # patches them patches both sides, and writes each run of the trie as a
+    # chain of one edge per step.
     from itertools import chain, combinations_with_replacement
 
     from torunits import helpengine
@@ -534,7 +591,8 @@ def _reference_check_case(n, d):
 
     zero_slot_open = {c.d: c.zero_slot_open for c in candidate_divisors(n).retained}[d]
     basis, rows = basis_indices(n), helpengine.trace_coordinates(n)
-    cells, trie = helpengine._assignment_trie(n, d)
+    cells, runs = helpengine._assignment_trie(n, d)
+    trie = _unfold(runs)
     cap = 2 ** (prime_count(d) + 2)
     stats = {
         "weight_filter_failures": 0,
@@ -650,7 +708,7 @@ def _certificate_json(cert):
 
 
 def test_check_case_matches_the_reference_search():
-    # joining unary links changes how the search pushes, not what it finds:
+    # one push per run changes how the search pushes, not what it finds:
     # byte-equal certificates on every retained case of odd composite n < 400
     cases = [(n, d) for n in _odd_composites(400) for d in candidate_divisors(n).retained_ds]
     assert len(cases) == 137
@@ -659,13 +717,13 @@ def test_check_case_matches_the_reference_search():
         assert _certificate_json(check_case(n, d)) == want, (n, d)
 
 
-# cases whose tries hold unary links: (21, 3), (45, 5) and (175, 7) have
-# chains that end at a leaf, (45, 5), (75, 5) and (105, 7) chains of two or
-# more links, and (195, 15) inner edges ahead of leaf edges in one node.
-# With the cells reversed, class 0 is the last cell, so its edge is a leaf
-# link in the class-0 slot cases (15, 5) and (21, 7).  In (273, 7) the root
-# itself is a link: the whole trie is one chain from the root to its leaf,
-# so only the root can sum that chain's row, whose classes share positions.
+# cases whose tries hold folded runs: (21, 3), (45, 5) and (175, 7) have
+# runs that end at a leaf, (45, 5), (75, 5) and (105, 7) runs of three or
+# more steps, and (195, 15) inner edges ahead of leaf edges in one node.
+# With the cells reversed, class 0 is the last cell, so it is a later step
+# of a leaf run in the class-0 slot cases (15, 5) and (21, 7).  In (273, 7)
+# the whole trie is one run of seven steps from the root to its leaf, and
+# its classes share positions, so the run's row must be summed.
 _LINKED_CASES = [
     (15, 3),
     (15, 5),
@@ -682,12 +740,16 @@ _LINKED_CASES = [
 ]
 
 
-def _run_on(n, d, rows, trie):
-    # check_case and the reference on the given rows and trie: each side's
+def _run_on(n, d, rows, built):
+    # check_case and the reference on the given rows and on the cells and
+    # trie of a reference build, its runs folded here: each side's
     # certificate JSON, or the message of the InvariantViolationError it
     # stopped at
     from torunits import helpengine
     from torunits.helpengine import InvariantViolationError
+
+    cells, trie = built
+    folded = cells, _as_runs(cells, trie)
 
     def run(search):
         try:
@@ -697,7 +759,7 @@ def _run_on(n, d, rows, trie):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(helpengine, "trace_coordinates", lambda m: rows)
-        mp.setattr(helpengine, "_assignment_trie", lambda m, e: trie)
+        mp.setattr(helpengine, "_assignment_trie", lambda m, e: folded)
         return run(helpengine.check_case), run(_reference_check_case)
 
 
@@ -716,7 +778,7 @@ def test_joined_links_match_the_reference_on_scaled_rows(data):
     # each class's row times a drawn factor, and all of them times 1, 2, d
     # or 1000: the bound, divisibility and zero tests then meet values the
     # real rows never reach (survivors, near misses, bound violations), and
-    # they meet them through joined links; 1000 widens the accumulator's
+    # they meet them through folded runs; 1000 widens the accumulator's
     # offset far past the real rows'.  The certificates must be equal, or
     # both searches must stop at the same first violation.
     n, d = data.draw(st.sampled_from(_LINKED_CASES), label="case")
@@ -732,7 +794,7 @@ def test_joined_links_match_the_reference_on_scaled_rows(data):
 @pytest.mark.parametrize(
     "n, d, reverse, scale, first",
     [
-        # class 0 reaches the pattern through a leaf link, so its bound is cap + 1
+        # class 0 is a later step of a leaf run, so its bound is cap + 1
         (15, 5, True, 2, "raised: deviation 10 exceeds bound 9 on pattern (0, 1, 1, 2, 2)"),
         (21, 7, True, 2, "raised: deviation 10 exceeds bound 9 on pattern (0, 1, 1, 2, 2, 3, 4)"),
         # an inner edge ahead of a leaf edge: the inner edge's patterns come first
