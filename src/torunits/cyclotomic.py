@@ -7,8 +7,8 @@ exponent-indexed - cheap to build, while equality, zero tests and
 integer divisibility go through the canonical form: the remainder
 modulo the n-th cyclotomic polynomial, whose power basis 1, zeta, ...,
 zeta^(phi(n)-1) is a Z-basis of Z[zeta_n].  The canonical form is
-computed lazily and cached; the cache write is idempotent (every writer
-computes the same tuple), so instances may be shared across threads.
+computed on each read and not stored, as an element is rarely read
+twice.
 
 All coefficients are arbitrary-precision Python integers; cyclotomic
 polynomials are products of the binomials X^e - 1 and exact quotients
@@ -229,9 +229,9 @@ def _root_walk(m: int, e: int, step: int) -> Iterator[list[int]]:
 
 
 class CycInt:
-    """An element of Z[zeta_n], exponent vector plus cached canonical form."""
+    """An element of Z[zeta_n], stored as its exponent vector."""
 
-    __slots__ = ("n", "_coeffs", "_reduced")
+    __slots__ = ("n", "_coeffs")
 
     def __init__(self, n: int, coeffs: Sequence[int]):
         if n < 1:
@@ -241,7 +241,6 @@ class CycInt:
             raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
         self.n = n
         self._coeffs = coeffs
-        self._reduced = None
 
     # -- constructors ------------------------------------------------
 
@@ -272,12 +271,8 @@ class CycInt:
 
     @property
     def reduced(self) -> tuple[int, ...]:
-        """Coordinates in the power basis 1, zeta, ..., zeta^(phi(n)-1)."""
-        r = self._reduced
-        if r is None:
-            r = tuple(_long_divide(self._coeffs, cyclotomic_poly(self.n).coeffs)[1])
-            self._reduced = r  # idempotent: all writers compute the same tuple
-        return r
+        """Coordinates in the power basis 1, zeta, ..., zeta^(phi(n)-1), computed on each read."""
+        return tuple(_long_divide(self._coeffs, cyclotomic_poly(self.n).coeffs)[1])
 
     def is_zero(self) -> bool:
         return not any(self.reduced)

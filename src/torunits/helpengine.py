@@ -185,11 +185,10 @@ def _assignment_trie(n: int, d: int) -> tuple[list[tuple[int, ...]], _Trie]:
     for i, proj in enumerate(projs):
         for mi, y in enumerate(proj):
             last[mi][y] = i
-    # a required residue with no cell leaves nothing to enumerate.  Past
-    # the root no residue can be stranded: at its last cell the walk must
-    # take all it still needs (`low` below), so no later cell needs it.
-    if any(y not in last[mi] for mi, want in enumerate(counters) for y in want):
-        return cells, []
+    # every required residue has a cell: class_rep(m, i) is the residue at
+    # m of class class_rep(n, i), which is usable.  Nor can the walk strand
+    # one: at its last cell it must take all it still needs (`low` below),
+    # so no later cell needs it.
     # slot[mi, y]: the bit offset of counter (mi, y) in the packed state;
     # a count never exceeds d, so `width` bits hold it with one to spare
     width = d.bit_length() + 1

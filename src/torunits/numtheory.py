@@ -166,19 +166,16 @@ def class_reps(n: int) -> tuple[int, ...]:
     return tuple(range(n // 2 + 1))
 
 
-@lru_cache(maxsize=None)
 def basis_exponents(n: int) -> tuple[int, ...]:
-    """Residues mod n outside the near-zero band at every prime layer.
+    """Residues mod n, for odd n >= 3, outside the near-zero band at every prime layer.
 
     These exponents b are exactly the ones for which {zeta_n^b} is a
     Z-basis of Z[zeta_n]; the set is closed under negation and has
     euler_phi(n) elements.  For squarefree n it is the set of units.
+    The band is tested once, by near_zero_part: for odd p the bound
+    2*p*|r| = n_p is never met, so a residue is outside the band at
+    every layer exactly when it is near zero at no prime.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    layers = [(p, p**e) for p, e in factorize(n)]
-    out = []
-    for x in range(n):
-        if all(2 * p * abs(signed_residue(x, np_)) > np_ for p, np_ in layers):
-            out.append(x)
-    return tuple(out)
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"need an odd modulus >= 3, got {n}")
+    return tuple(x for x in range(n) if near_zero_part(n, x) == 1)

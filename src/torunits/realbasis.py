@@ -62,7 +62,6 @@ from typing import Mapping, Sequence
 
 from torunits.cyclotomic import _root_walk, cyclotomic_poly
 from torunits.numtheory import (
-    basis_exponents,
     class_rep,
     class_reps,
     moebius,
@@ -77,10 +76,14 @@ class DecompositionError(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def basis_indices(n: int) -> tuple[int, ...]:
-    """One representative in [1, n/2] per sign pair of basis exponents."""
+    """One representative in [1, n/2] per sign pair of basis exponents.
+
+    These are the b in [1, n/2] with near_zero_part(n, b) == 1, as in
+    torunits.numtheory.basis_exponents.
+    """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need an odd modulus >= 3, got {n}")
-    return tuple(b for b in basis_exponents(n) if 2 * b < n)
+    return tuple(b for b in range(1, n // 2 + 1) if near_zero_part(n, b) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -92,10 +95,12 @@ def trace_coordinates(n: int) -> dict[int, tuple[tuple[int, int], ...]]:
     value = pair_weight(n, x) * moebius(g) at the basis indices
     b ~ x mod n/g, g = near_zero_part(n, x); every other coordinate is 0.
     g is squarefree, so the value is never 0.  The rows are found by
-    stepping through the two progressions b = +-x mod n/g in [1, n/2].
-    The dict is shared; do not mutate it.
+    stepping through the two progressions b = +-x mod n/g in [1, n/2],
+    and each b is looked up in a dict of basis positions built here,
+    once per n, as the rows are cached.  The dict of rows is shared; do
+    not mutate it.
     """
-    position = _basis_position(n)
+    position = {b: k for k, b in enumerate(basis_indices(n))}
     half = n // 2
     rows = {}
     for x in class_reps(n):
@@ -112,16 +117,11 @@ def trace_coordinates(n: int) -> dict[int, tuple[tuple[int, int], ...]]:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _basis_position(n: int) -> dict[int, int]:
-    """The position of each basis index in basis_indices(n).  Shared; do not mutate."""
-    return {b: k for k, b in enumerate(basis_indices(n))}
-
-
 def basis_coeff(n: int, b: int, i: int) -> int:
     """Closed-form coordinate of real_trace(n, i) at basis index b."""
-    k = _basis_position(n).get(b)
-    if k is None:
+    basis = basis_indices(n)
+    k = bisect_left(basis, b)
+    if k == len(basis) or basis[k] != b:
         raise ValueError(f"{b} is not a basis index for n={n}")
     row = trace_coordinates(n)[class_rep(n, i)]
     j = bisect_left(row, (k,))
@@ -172,7 +172,7 @@ def chebyshev_coordinates(n: int) -> list[list[int]]:
     walks = zip(rows, _root_walk(n, start, 1), _root_walk(n, start, -1))
     for k, (row, up, down) in enumerate(walks):
         if row[:0:-1] + row + [0] != [u + d for u, d in zip(up, down)]:
-            what = f"basis element {k}" if k in _basis_position(n) else f"class {k}"
+            what = f"basis element {k}" if k in basis_indices(n) else f"class {k}"
             raise DecompositionError(
                 f"the Chebyshev row of {what} over n={n} does not recompose to it"
             )

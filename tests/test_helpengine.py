@@ -831,6 +831,30 @@ def test_extreme_rows_reach_the_offset_bound(n, d, sign):
         assert list(p) in json.loads(got)["survivors"]
 
 
+@pytest.mark.parametrize(
+    "n, d, zeros, ones, ok",
+    [
+        # the slot is closed at (15, 3): one class 0 breaks it
+        (15, 3, 1, 2, False),
+        # the slot is open at (15, 5): one class 0 fits it, two do not
+        (15, 5, 2, 3, False),
+        (15, 5, 1, 4, True),
+    ],
+)
+def test_class_zero_slot_rule_on_a_hand_made_trie(n, d, zeros, ones, ok):
+    # the trie builder never emits a pattern that breaks the class-0 slot
+    # rule, so this trie is made by hand: cells (0,) and (1,) and one path
+    # that takes `zeros` classes 0 and then `ones` classes 1.  Both
+    # searches must raise on a broken slot and agree where it holds.
+    from torunits.realbasis import trace_coordinates
+
+    trie = [(0, zeros, [(1, ones, None)])]
+    got, want = _run_on(n, d, trace_coordinates(n), ([(0,), (1,)], trie))
+    assert got == want
+    broken = "raised: enumeration emitted a pattern violating the class-0 slot rule"
+    assert got.startswith(broken) != ok
+
+
 def test_check_case_rejects_inapplicable():
     with pytest.raises(CaseInapplicableError):
         check_case(27, 3)

@@ -128,6 +128,14 @@ def test_basis_exponents_negation_closed_and_sized():
         assert all((n - b) % n in bs for b in bs)
 
 
+def test_basis_exponents_rejects_even_and_small_moduli():
+    # the band argument needs odd primes only; 12 would give (2, 10), half
+    # of phi(12), and 36 six exponents
+    for n in (1, 2, 4, 12, 36):
+        with pytest.raises(ValueError, match="odd modulus"):
+            basis_exponents(n)
+
+
 def test_basis_exponents_squarefree_are_units():
     import math
 

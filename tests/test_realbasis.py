@@ -10,10 +10,12 @@ from torunits.numtheory import (
     basis_exponents,
     class_reps,
     euler_phi,
+    factorize,
     moebius,
     near_zero_part,
     pair_weight,
     same_class,
+    signed_residue,
 )
 from torunits.oracles import decompose, recompose
 from torunits.realbasis import (
@@ -42,6 +44,26 @@ def test_basis_indices_examples():
 def test_basis_indices_sizes():
     for n in range(3, 106, 2):
         assert len(basis_indices(n)) == euler_phi(n) // 2
+
+
+def _layer_basis_exponents(n):
+    # the basis exponents by their own band loop: x is kept when, at every
+    # prime layer n_p = p^e, 2*p*|signed_residue(x, n_p)| > n_p
+    layers = [(p, p**e) for p, e in factorize(n)]
+    return tuple(
+        x
+        for x in range(n)
+        if all(2 * p * abs(signed_residue(x, np_)) > np_ for p, np_ in layers)
+    )
+
+
+def test_basis_matches_the_layer_loop():
+    # both are derived from near_zero_part, which takes 2*p*|r| < n_p as
+    # near zero; for odd p, 2*p*|r| = n_p never holds, so the two agree
+    for n in range(3, 1000, 2):
+        want = _layer_basis_exponents(n)
+        assert basis_exponents(n) == want, n
+        assert basis_indices(n) == tuple(b for b in want if 2 * b < n), n
 
 
 def test_basis_coeff_examples():
@@ -248,10 +270,11 @@ def test_wrong_row_outside_the_basis_is_caught(monkeypatch, cls):
 def test_expansion_identity_sample():
     # zeta^i = moebius(g) * sum of zeta^b over basis exponents b = i mod n/g
     for n in (9, 15, 45, 75):
+        exponents = basis_exponents(n)
         for i in range(n):
             g = near_zero_part(n, i)
             acc = [0] * n
-            for b in basis_exponents(n):
+            for b in exponents:
                 if (b - i) % (n // g) == 0:
                     acc[b] += 1
             assert CycInt.root(n, i) == moebius(g) * CycInt(n, acc)
