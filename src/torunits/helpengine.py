@@ -281,8 +281,8 @@ def enumerate_patterns(n: int, d: int) -> Iterator[tuple[int, ...]]:
 # -- case analysis -------------------------------------------------------
 
 _Row = tuple[tuple[int, int], ...]  # sparse (basis position, value) pairs
-# the classes of one choice along a run, their summed row and class-0 count
-_Group = tuple[tuple[int, ...], _Row, int]
+# the classes of one choice along a run and their summed row
+_Group = tuple[tuple[int, ...], _Row]
 # a resolved trie node: per edge in trie order, the groups of its run and
 # the resolved node after it, or None for a leaf
 _Node = list[tuple[list[_Group], "_Node | None"]]
@@ -355,9 +355,10 @@ def check_case(n: int, d: int) -> CaseCertificate:
     support of its last group.  The deviation is a flat list over the
     basis positions, each entry stored plus an offset, and the counts are
     read from a list indexed by that stored value.  No pattern list is
-    built.  Only zero deviations, survivors and near misses are counted
-    as they are met; every other pattern is a plain divisibility
-    failure, counted once after the search.
+    built.  Only zero deviations are counted as they are met.  The
+    pruning stats are built once, after the search: the survivor and
+    near-miss counts are the lengths of their lists, and every other
+    pattern is a plain divisibility failure.
 
     Each trie node is resolved once, on its identity, into its edges in
     trie order with the groups of their runs.  A group is one choice of
@@ -370,6 +371,20 @@ def check_case(n: int, d: int) -> CaseCertificate:
     patterns, not pushes.  Survivors and near misses are sorted by
     pattern at the end, so the certificate is the one the sorted pattern
     stream would give.
+
+    The class-0 slot rule (class 0 at most once in a pattern, and only
+    when the case's zero slot is open) is checked once per group, as
+    groups_of builds it, not at each leaf.  That covers every pattern:
+    - Class 0 is a cell of its own: its projection is 0 at every
+      modulus n/p, and the n/p have lcm n when n is not a prime power.
+    - Cell indices strictly increase along any path, so all of a
+      pattern's class-0 picks lie in one step of one run, hence in one
+      group, which holds as many of them as the pattern.
+    - The trie has no edge that leads to no leaf, so every group lies
+      on some pattern.
+    A breach raises InvariantViolationError while the trie is resolved,
+    before the search starts, so it is reported ahead of any deviation
+    bound violation the search would meet.
     """
     cands = candidate_divisors(n)
     if not cands.applicable:
@@ -386,16 +401,9 @@ def check_case(n: int, d: int) -> CaseCertificate:
     cap = 2 ** (prime_count(d) + 2)
     zero_slot_open = by_d[d].zero_slot_open
 
-    stats = {
-        "weight_filter_failures": 0,
-        "deviation_zero": 0,
-        "divisibility_failures": 0,
-        "near_misses": 0,
-        "survivors": 0,
-    }
     survivors: list[tuple[int, ...]] = []
     near: list[NearMiss] = []
-    examined = 0
+    examined = zero = 0
 
     # acc: the deviation of the classes on the search path, one entry per
     # basis position, plus off, starting from g's character data negated
@@ -429,8 +437,8 @@ def check_case(n: int, d: int) -> CaseCertificate:
     shift = len(basis).bit_length()
     tally = [(v != 0) + ((abs(v) >= d) << shift) for v in range(-off, off + 1)]
     # run -> each combination of classes of its first cell plus the fixed
-    # classes of its one-class steps, with their summed sparse row and their
-    # class-0 count, built at first use
+    # classes of its one-class steps, with their summed sparse row, built at
+    # first use
     groups: dict[_Run, list[_Group]] = {}
     # trie node identity -> its resolved edges
     resolved: dict[int, _Node] = {}
@@ -445,7 +453,11 @@ def check_case(n: int, d: int) -> CaseCertificate:
             out = groups[run] = []
             for group in combinations_with_replacement(cells[i], c):
                 group += fixed
-                out.append((group, _sum_rows(*(rows[x] for x in group)), group.count(0)))
+                if group.count(0) > zero_slot_open:
+                    raise InvariantViolationError(
+                        f"enumeration emitted a pattern violating the class-0 slot rule at (n={n}, d={d})"
+                    )
+                out.append((group, _sum_rows(*(rows[x] for x in group))))
         return out
 
     def resolve(node: _Trie) -> _Node:
@@ -454,68 +466,65 @@ def check_case(n: int, d: int) -> CaseCertificate:
             out = resolved[id(node)] = [(groups_of(run), child and resolve(child)) for run, child in node]
         return out
 
-    def classify_slow(group: tuple[int, ...], delta: _Row, zeros: int) -> None:
+    def classify_slow(group: tuple[int, ...], delta: _Row) -> None:
         # some |v| >= d: the bound check, then a survivor or a near miss
         for k, v in delta:
             acc[k] += v
         classes = tuple(sorted(chain(*stack, group)))
         max_abs = max(max(acc) - off, off - min(acc))
-        bound = cap + 1 if zeros else cap
+        bound = cap + 1 if 0 in classes else cap
         if max_abs > bound:
             raise InvariantViolationError(
                 f"deviation {max_abs} exceeds bound {bound} on pattern {classes} at (n={n}, d={d})"
             )
         k = next((k for k, v in enumerate(acc) if (v - off) % d), None)
         if k is None:
-            stats["survivors"] += 1
             survivors.append(classes)
         else:
-            stats["near_misses"] += 1
             near.append(NearMiss(classes, max_abs, basis[k], acc[k] - off))
         for k, v in delta:
             acc[k] -= v
 
-    def search(node: _Node, state: int, zeros: int) -> None:
-        nonlocal examined
+    def search(node: _Node, state: int) -> None:
+        nonlocal examined, zero
         for gs, child in node:
             if child is None:
                 # a leaf per group: score it without writing to acc
                 examined += len(gs)
-                for group, delta, z in gs:
+                for group, delta in gs:
                     s = state
                     for k, v in delta:
                         old = acc[k]
                         s += tally[old + v] - tally[old]
-                    zs = zeros + z
-                    if zs > 1 or (zs and not zero_slot_open):
-                        stats["weight_filter_failures"] += 1
                     if s >> shift:
-                        classify_slow(group, delta, zs)
+                        classify_slow(group, delta)
                     elif not s:
-                        stats["deviation_zero"] += 1
+                        zero += 1
                 continue
-            for group, delta, z in gs:
+            for group, delta in gs:
                 s = state
                 for k, v in delta:
                     old = acc[k]
                     acc[k] = new = old + v
                     s += tally[new] - tally[old]
                 stack.append(group)
-                search(child, s, zeros + z)
+                search(child, s)
                 stack.pop()
                 for k, v in delta:
                     acc[k] -= v
 
-    search(resolve(trie), sum(tally[v] for v in acc), 0)
+    search(resolve(trie), sum(tally[v] for v in acc))
     # as in _assignment_trie: unbinding the recursive closures frees the
     # groups, rows and resolved nodes on return
     del resolve, search
-    if stats["weight_filter_failures"]:
-        raise InvariantViolationError(
-            f"enumeration emitted a pattern violating the class-0 slot rule at (n={n}, d={d})"
-        )
-    # every other pattern, near misses included, fails divisibility
-    stats["divisibility_failures"] = examined - stats["deviation_zero"] - stats["survivors"]
+    stats = {
+        "weight_filter_failures": 0,  # always 0: a class-0 slot breach raises in groups_of
+        "deviation_zero": zero,
+        # every other pattern, near misses included, fails divisibility
+        "divisibility_failures": examined - zero - len(survivors),
+        "near_misses": len(near),
+        "survivors": len(survivors),
+    }
     # patterns are unique, so sorting gives the order of the pattern stream
     survivors.sort()
     near.sort(key=lambda nm: nm.pattern)

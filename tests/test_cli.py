@@ -362,6 +362,21 @@ def test_bound_violation_is_an_internal_error(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("internal error: deviation")
 
 
+def test_class_zero_slot_breach_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    from torunits import helpengine
+
+    # a hand-made trie for (15, 3), whose class-0 slot is closed: one path
+    # that takes class 0 once and class 1 twice
+    trie = [(((0, 1), (1, 2)), None)]
+    monkeypatch.setattr(helpengine, "_assignment_trie", lambda n, d: ([(0,), (1,)], trie))
+    out = tmp_path / "x.json"
+    code = main(["case", "--n", "15", "--d", "3", "--output", str(out)])
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: enumeration emitted a pattern violating the class-0 slot rule")
+
+
 def test_failed_report_write_leaves_no_partial_file(monkeypatch, tmp_path, capsys):
     from pathlib import Path
 

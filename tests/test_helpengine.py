@@ -843,16 +843,61 @@ def test_extreme_rows_reach_the_offset_bound(n, d, sign):
 )
 def test_class_zero_slot_rule_on_a_hand_made_trie(n, d, zeros, ones, ok):
     # the trie builder never emits a pattern that breaks the class-0 slot
-    # rule, so this trie is made by hand: cells (0,) and (1,) and one path
-    # that takes `zeros` classes 0 and then `ones` classes 1.  Both
-    # searches must raise on a broken slot and agree where it holds.
+    # rule, so this trie is made by hand: one path that takes `zeros`
+    # classes 0 and `ones` classes 1.  With cells (0,), (1,) class 0 is the
+    # first step of the folded run; with cells (1,), (0,) it is a fixed
+    # later step.  Both searches must raise on a broken slot and agree
+    # where it holds.
     from torunits.realbasis import trace_coordinates
 
-    trie = [(0, zeros, [(1, ones, None)])]
-    got, want = _run_on(n, d, trace_coordinates(n), ([(0,), (1,)], trie))
-    assert got == want
     broken = "raised: enumeration emitted a pattern violating the class-0 slot rule"
-    assert got.startswith(broken) != ok
+    for built in [
+        ([(0,), (1,)], [(0, zeros, [(1, ones, None)])]),
+        ([(1,), (0,)], [(0, ones, [(1, zeros, None)])]),
+    ]:
+        got, want = _run_on(n, d, trace_coordinates(n), built)
+        assert got == want, built
+        assert got.startswith(broken) != ok, built
+
+
+def _class_zero_faults(cells, node, seen):
+    # the premise of check_case's per-group class-0 check, on a trie DAG:
+    # the faults found below node, as strings
+    if id(node) in seen:
+        return []
+    seen.add(id(node))
+    faults = [] if node else ["an empty child"]
+    for run, child in node:
+        steps = [i for i, _ in run]
+        after = [below[0][0] for below, _ in child or ()]
+        if steps != sorted(set(steps)) or any(j <= steps[-1] for j in after):
+            faults.append(f"cells not strictly increasing along {run}")
+        for i, c in run:
+            if 0 in cells[i] and (cells[i] != (0,) or c > 1):
+                faults.append(f"class 0 in step {(i, c)} of cell {cells[i]}")
+        if child is not None:
+            faults += _class_zero_faults(cells, child, seen)
+    return faults
+
+
+def test_class_zero_lies_in_one_group_of_every_pattern():
+    # check_case checks the class-0 slot rule once per group, which covers
+    # every pattern only if class 0 is usable only where the slot is open,
+    # is then the one-class cell (0,) taken at most once per step, cell
+    # indices strictly increase along every path, and no child is empty
+    from torunits.helpengine import _assignment_trie
+
+    cases = [(n, c) for n in _odd_composites(400) for c in candidate_divisors(n).retained]
+    assert len(cases) == 137
+    open_with_zero = []
+    for n, cand in cases:
+        cells, trie = _assignment_trie(n, cand.d)
+        usable = any(0 in cell for cell in cells)
+        assert not usable or cand.zero_slot_open, (n, cand.d)
+        assert _class_zero_faults(cells, trie, set()) == [], (n, cand.d)
+        if usable:
+            open_with_zero.append((n, cand.d))
+    assert open_with_zero == [(15, 5), (21, 7), (35, 7), (45, 15)]
 
 
 def test_check_case_rejects_inapplicable():
