@@ -11,7 +11,7 @@ vectors and eigenvalue multiplicities, used only for exploratory
 searches, live in torunits.augment, which the package does not import.
 """
 
-from torunits.cyclotomic import CycInt, IntPoly, cyclotomic_poly, eval_at_root, real_trace
+from torunits.cyclotomic import CycInt, cyclotomic_poly, eval_at_root, real_trace
 from torunits.helpengine import CaseCertificate, OrderVerdict, check_case, verify_order
 from torunits.psl2 import GroupProfile, admissible_orders, group_profile
 
@@ -21,7 +21,6 @@ __all__ = [
     "CaseCertificate",
     "CycInt",
     "GroupProfile",
-    "IntPoly",
     "OrderVerdict",
     "admissible_orders",
     "check_case",

@@ -10,9 +10,11 @@ zeta^(phi(n)-1) is a Z-basis of Z[zeta_n].  The canonical form is
 computed on each read and not stored, as an element is rarely read
 twice.
 
-All coefficients are arbitrary-precision Python integers; cyclotomic
-polynomials are products of the binomials X^e - 1 and exact quotients
-by them (the Moebius product), never computed numerically.
+A polynomial is its sequence of coefficients, lowest degree first;
+cyclotomic_poly returns an immutable tuple.  All coefficients are
+arbitrary-precision Python integers; cyclotomic polynomials are
+products of the binomials X^e - 1 and exact quotients by them (the
+Moebius product), never computed numerically.
 
 Three private primitives on coefficient lists carry this arithmetic,
 and that of divisibility, realbasis, augment and oracles: _fold
@@ -29,13 +31,6 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from torunits.numtheory import divisors, euler_phi, moebius, radical
-
-
-def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 # -- the polynomial core: coefficient lists, lowest degree first -------
@@ -105,74 +100,15 @@ def _long_divide(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], lis
     return quot, rem
 
 
-class IntPoly:
-    """Univariate integer polynomial, lowest degree first, trailing zeros stripped."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _trim(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    @staticmethod
-    def x_power_minus_one(m: int) -> "IntPoly":
-        if m < 1:
-            raise ValueError(f"need m >= 1, got {m}")
-        return IntPoly((-1,) + (0,) * (m - 1) + (1,))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPoly({list(self.coeffs)})"
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(_convolve(self.coeffs, other.coeffs))
-
-    def divide_exact(self, divisor: "IntPoly") -> "IntPoly":
-        """Quotient self / divisor; raises unless the division is exact over Z."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        quot, rem = _long_divide(self.coeffs, divisor.coeffs)
-        if any(rem):
-            raise ValueError("inexact polynomial division: nonzero remainder")
-        return IntPoly(quot)
-
-    def compose_x_power(self, s: int) -> "IntPoly":
-        """The polynomial f(X^s)."""
-        if s < 1:
-            raise ValueError(f"need s >= 1, got {s}")
-        if self.is_zero:
-            return self
-        return IntPoly(_fold(self.coeffs, s, s * self.degree + 1))
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_poly(m: int) -> IntPoly:
-    """The m-th cyclotomic polynomial, as a product of exact binomial quotients.
+def cyclotomic_poly(m: int) -> tuple[int, ...]:
+    """The coefficients of the m-th cyclotomic polynomial, lowest degree first.
 
     For squarefree m > 1, Phi_m = prod over e | m of (X^e - 1)^mu(m/e):
     the binomials with mu = +1 are multiplied, and then those with
     mu = -1 are divided out exactly, each step one pass over the
-    coefficients; a division that leaves a remainder raises.  For
-    general m the squarefree core is inflated via the exponent
+    coefficients; a division that leaves a remainder raises ValueError.
+    For general m the squarefree core is inflated via the exponent
     substitution X -> X^(m/rad(m)).  Both steps are exact integer
     arithmetic and the result is checked to be monic of degree
     euler_phi(m).
@@ -180,23 +116,28 @@ def cyclotomic_poly(m: int) -> IntPoly:
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if m == 1:
-        return IntPoly((-1, 1))
+        return (-1, 1)
     rad = radical(m)
     if rad != m:
-        out = cyclotomic_poly(rad).compose_x_power(m // rad)
+        core = cyclotomic_poly(rad)
+        s = m // rad
+        out = _fold(core, s, s * (len(core) - 1) + 1)
     else:
-        out = IntPoly((1,))
+        out = [1]
         denominators = []
         for e in divisors(m):
+            binomial = [-1] + [0] * (e - 1) + [1]
             if moebius(m // e) == 1:
-                out = out * IntPoly.x_power_minus_one(e)
+                out = _convolve(out, binomial)
             else:
-                denominators.append(e)
-        for e in denominators:
-            out = out.divide_exact(IntPoly.x_power_minus_one(e))
-    if not out.is_monic or out.degree != euler_phi(m):
+                denominators.append(binomial)
+        for binomial in denominators:
+            out, rem = _long_divide(out, binomial)
+            if any(rem):
+                raise ValueError("inexact polynomial division: nonzero remainder")
+    if out[-1] != 1 or len(out) - 1 != euler_phi(m):
         raise ArithmeticError(f"cyclotomic polynomial computation failed for m={m}")
-    return out
+    return tuple(out)
 
 
 def _root_walk(m: int, e: int, step: int) -> Iterator[list[int]]:
@@ -209,7 +150,7 @@ def _root_walk(m: int, e: int, step: int) -> Iterator[list[int]]:
     which is exact because Phi_m(0) = 1 for m >= 2; the rest then
     shifts down one place.
     """
-    phi = cyclotomic_poly(m).coeffs
+    phi = cyclotomic_poly(m)
     deg = len(phi) - 1
     low, high = phi[:deg], phi[1:]
     v = [0] * deg
@@ -272,7 +213,7 @@ class CycInt:
     @property
     def reduced(self) -> tuple[int, ...]:
         """Coordinates in the power basis 1, zeta, ..., zeta^(phi(n)-1), computed on each read."""
-        return tuple(_long_divide(self._coeffs, cyclotomic_poly(self.n).coeffs)[1])
+        return tuple(_long_divide(self._coeffs, cyclotomic_poly(self.n))[1])
 
     def is_zero(self) -> bool:
         return not any(self.reduced)
@@ -341,11 +282,11 @@ class CycInt:
         return all(c % k == 0 for c in self.reduced)
 
 
-def eval_at_root(f: IntPoly, n: int) -> CycInt:
-    """The value f(zeta_n), exponents folded mod n."""
+def eval_at_root(f: Sequence[int], n: int) -> CycInt:
+    """The value at zeta_n of the polynomial with coefficients f, exponents folded mod n."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    return CycInt(n, _fold(f.coeffs, 1, n))
+    return CycInt(n, _fold(f, 1, n))
 
 
 def real_trace(n: int, x: int) -> CycInt:
@@ -373,7 +314,6 @@ def rational_trace(a: CycInt) -> int:
 
 __all__ = [
     "CycInt",
-    "IntPoly",
     "cyclotomic_poly",
     "eval_at_root",
     "rational_trace",

@@ -13,7 +13,9 @@ check_vanishing tests the second statement on a concrete instance, and
 check_vanishing_real tests its real-subring analogue, where the data is
 indexed by sign classes, w(i) = sum_x B_x * real_trace(n, i*x), and the
 conclusion is membership in d*Z[zeta_n + zeta_n^-1] (every coordinate
-in the distinguished basis divisible by d).
+in the distinguished basis divisible by d).  Both test the hypotheses
+alike, each w(d/q) folded into the ring Z[zeta_(n/g)], g = gcd(d/q, n),
+that it lies in.
 
 cyclotomic_value_divisible never builds Phi_(n*p^m): that polynomial
 is Phi_rad(X^(M/rad)) for the radical rad of n*p, so the value is the
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Sequence
 
-from torunits.cyclotomic import CycInt, IntPoly, _fold, _fold_pairs, cyclotomic_poly
+from torunits.cyclotomic import CycInt, _convolve, _fold, _fold_pairs, cyclotomic_poly
 from torunits.numtheory import class_reps, factorize, is_prime, radical
 from torunits.realbasis import decompose_combination
 
@@ -56,7 +58,7 @@ def _cyclotomic_value(n: int, p: int, m: int) -> CycInt:
     """
     rad = radical(n * p)
     step = n * p // rad * pow(p, m - 1, n) % n
-    return CycInt(n, _fold(cyclotomic_poly(rad).coeffs, step, n))
+    return CycInt(n, _fold(cyclotomic_poly(rad), step, n))
 
 
 @dataclass(frozen=True)
@@ -101,11 +103,15 @@ def prime_power_divisors(d: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _hypotheses_hold(inst: PowerSums) -> bool:
+    """w(d/q) = 0 for every prime power q | d, each tested in the folded ring."""
+    return all(inst._folded_value(inst.d // q).is_zero() for q in prime_power_divisors(inst.d))
+
+
 def check_vanishing(inst: PowerSums) -> VanishingVerdict:
     """Hypotheses: w(d/q) = 0 for all prime powers q | d; conclusion: d | w(d)."""
-    hyp = all(inst._folded_value(inst.d // q).is_zero() for q in prime_power_divisors(inst.d))
     concl = inst._folded_value(inst.d).divisible_by(inst.d)
-    return VanishingVerdict(hyp, concl)
+    return VanishingVerdict(_hypotheses_hold(inst), concl)
 
 
 def fold_class_vector(n: int, B: Mapping[int, int]) -> tuple[int, ...]:
@@ -128,8 +134,7 @@ def check_vanishing_real(n: int, B: Mapping[int, int], d: int) -> VanishingVerdi
     if n % 2 == 0 or n < 3:
         raise ValueError(f"need an odd modulus >= 3, got {n}")
     # fold_class_vector checks the keys of B, PowerSums that d divides n
-    inst = PowerSums(n, fold_class_vector(n, B), d)
-    hyp = all(inst.value(d // q).is_zero() for q in prime_power_divisors(d))
+    hyp = _hypotheses_hold(PowerSums(n, fold_class_vector(n, B), d))
     # w(d) = sum_x B_x * real_trace(n, d*x): its coordinates are a sum of closed-formula rows
     coords = decompose_combination(n, {d * x: c for x, c in B.items()})
     concl = all(v % d == 0 for v in coords.coords.values())
@@ -151,12 +156,11 @@ def recipe_instance(n: int, d: int, rng, max_coeff: int = 9) -> PowerSums:
     """
     if n < 1 or d < 2 or n % d:
         raise ValueError(f"need d >= 2 dividing n, got n={n}, d={d}")
-    g = IntPoly([rng.randint(-max_coeff, max_coeff) for _ in range(rng.randrange(1, n + 1))])
-    f = g
+    f = [rng.randint(-max_coeff, max_coeff) for _ in range(rng.randrange(1, n + 1))]
     k = n // d
     for q in prime_power_divisors(d):
-        f = f * cyclotomic_poly(k * q)
-    return PowerSums(n, tuple(_fold(f.coeffs, 1, n)), d)
+        f = _convolve(f, cyclotomic_poly(k * q))
+    return PowerSums(n, tuple(_fold(f, 1, n)), d)
 
 
 def fold_to_classes(n: int, A: Sequence[int]) -> dict[int, int]:

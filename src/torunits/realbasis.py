@@ -230,7 +230,7 @@ def _chebyshev_rows(n: int) -> list[list[int]]:
     chebyshev_coordinates.
     """
     size = len(basis_indices(n))
-    top = [-c for c in cyclotomic_poly(n).coeffs[size : 2 * size]]
+    top = [-c for c in cyclotomic_poly(n)[size : 2 * size]]
 
     def fold_top(v: list[int]) -> list[int]:
         h = v.pop()

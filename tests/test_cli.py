@@ -95,10 +95,11 @@ def test_lemma_phi_missing_flag(tmp_path, capsys):
 
 def test_nt_check_file(tmp_path):
     n, d = 15, 15
-    f = cyclotomic_poly(3) * cyclotomic_poly(5)
+    # Phi_3 * Phi_5, folded mod X^15 - 1
     A = [0] * n
-    for j, c in enumerate(f.coeffs):
-        A[j % n] += c
+    for i, a in enumerate(cyclotomic_poly(3)):
+        for j, b in enumerate(cyclotomic_poly(5)):
+            A[(i + j) % n] += a * b
     inst = tmp_path / "inst.txt"
     inst.write_text(f"{n} {d}\n" + "\n".join(str(a) for a in A) + "\n")
     code, payload = run_cli(["nt-check", "--input", str(inst)], tmp_path)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torunits import cyclotomic
 from torunits.cyclotomic import (
     CycInt,
-    IntPoly,
     _convolve,
     _fold,
     _fold_pairs,
@@ -66,7 +66,7 @@ def ref_pairs(terms, s, m):
 
 
 def ref_product(a, b):
-    # IntPoly.__mul__
+    # the polynomial product
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -90,7 +90,7 @@ def ref_cyclic_product(a, b, n):
 
 
 def ref_divide(num, den):
-    # IntPoly.divide_exact without its final remainder check
+    # the exact division of cyclotomic_poly, without its remainder check
     rem = list(num)
     dd = len(den) - 1
     lead = den[-1]
@@ -113,7 +113,7 @@ def ref_divide(num, den):
 
 def ref_reduce(raw, n):
     # _reduce_mod_cyclotomic
-    phi = cyclotomic_poly(n).coeffs
+    phi = cyclotomic_poly(n)
     deg = len(phi) - 1
     rem = list(raw)
     for i in range(len(rem) - 1, deg - 1, -1):
@@ -192,7 +192,7 @@ def test_long_divide_matches_the_division_loops():
     for n in (1, 2, 7, 15, 24, 45, 105):
         for _ in range(10):
             raw = random_coeffs(rng, rng.randint(0, 2 * n))
-            assert tuple(_long_divide(raw, cyclotomic_poly(n).coeffs)[1]) == ref_reduce(raw, n)
+            assert tuple(_long_divide(raw, cyclotomic_poly(n))[1]) == ref_reduce(raw, n)
 
 
 def test_root_walk_matches_the_reduced_roots():
@@ -244,33 +244,41 @@ def test_galois_is_a_ring_homomorphism(drawn, data):
 @given(ring_elements(2))
 def test_cyclic_product_is_the_polynomial_product_reduced(drawn):
     n, (a, b) = drawn
-    prod = IntPoly(a.coeffs) * IntPoly(b.coeffs)
-    assert (a * b).reduced == poly_remainder(prod.coeffs, cyclotomic_poly(n).coeffs)
+    prod = ref_product(a.coeffs, b.coeffs)
+    assert (a * b).reduced == poly_remainder(prod, cyclotomic_poly(n))
 
 
 # -- cyclotomic polynomials -------------------------------------------
 
 
 def test_small_cyclotomic_polys():
-    assert cyclotomic_poly(1) == IntPoly((-1, 1))
-    assert cyclotomic_poly(2) == IntPoly((1, 1))
-    assert cyclotomic_poly(6) == IntPoly((1, -1, 1))
-    assert cyclotomic_poly(15).degree == 8
-    assert cyclotomic_poly(15).coeffs == (1, -1, 0, 1, -1, 1, 0, -1, 1)
+    assert cyclotomic_poly(1) == (-1, 1)
+    assert cyclotomic_poly(2) == (1, 1)
+    assert cyclotomic_poly(6) == (1, -1, 1)
+    assert len(cyclotomic_poly(15)) - 1 == 8
+    assert cyclotomic_poly(15) == (1, -1, 0, 1, -1, 1, 0, -1, 1)
+
+
+def test_cyclotomic_poly_is_a_tuple():
+    # one immutable value is shared by every caller of the cache; m = 1,
+    # squarefree m, inflated m, and the uncached computation
+    for m in (1, 2, 15, 45, 225):
+        assert type(cyclotomic_poly(m)) is tuple, m
+        assert type(cyclotomic_poly.__wrapped__(m)) is tuple, m
 
 
 def test_cyclotomic_product_identity():
     for n in range(1, 201):
-        prod = IntPoly((1,))
+        prod = [1]
         for d in divisors(n):
-            prod = prod * cyclotomic_poly(d)
-        assert prod == IntPoly.x_power_minus_one(n), n
+            prod = ref_product(prod, cyclotomic_poly(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_cyclotomic_is_monic_of_degree_phi():
     for n in list(range(1, 130)) + [105 * 4, 45 * 49]:
         f = cyclotomic_poly(n)
-        assert f.is_monic and f.degree == euler_phi(n)
+        assert f[-1] == 1 and len(f) - 1 == euler_phi(n)
 
 
 def test_cyclotomic_vanishes_at_its_root():
@@ -297,12 +305,24 @@ def test_cyclotomic_matches_the_iterated_division():
     fifteen_p = [15 * p for p in range(7, 252) if is_prime(p)]
     assert len(fifteen_p) == 51
     for m in squarefree + fifteen_p:
-        assert cyclotomic_poly(m).coeffs == ref_cyclotomic(m), m
+        assert cyclotomic_poly(m) == ref_cyclotomic(m), m
 
 
-def test_inexact_division_raises():
-    with pytest.raises(ValueError):
-        IntPoly((1, 1, 1)).divide_exact(IntPoly((1, 1)))
+def test_inexact_division_raises(monkeypatch):
+    # with every Moebius sign flipped, Phi_15 would be
+    # (X^3 - 1)(X^5 - 1) / ((X - 1)(X^15 - 1)): the last division leaves
+    # a remainder, which must raise rather than be dropped
+    monkeypatch.setattr(cyclotomic, "moebius", lambda k: -moebius(k))
+    with pytest.raises(ValueError, match="inexact polynomial division: nonzero remainder"):
+        cyclotomic_poly.__wrapped__(15)
+
+
+def test_wrong_degree_raises(monkeypatch):
+    # without the divisor 5, the product is (X - 1)(X^15 - 1) / (X^3 - 1):
+    # every division is exact, and the degree 13 is not phi(15) = 8
+    monkeypatch.setattr(cyclotomic, "divisors", lambda m: [1, 3, 15])
+    with pytest.raises(ArithmeticError, match="cyclotomic polynomial computation failed for m=15"):
+        cyclotomic_poly.__wrapped__(15)
 
 
 # -- ring operations ---------------------------------------------------
@@ -320,14 +340,14 @@ def test_add_and_mul_examples():
 def test_reduce_examples():
     assert CycInt.root(3, 2).reduced == (-1, -1)
     assert CycInt.zero(9).reduced == (0,) * 6
-    want = poly_remainder([0] * 14 + [1], cyclotomic_poly(15).coeffs)
+    want = poly_remainder([0] * 14 + [1], cyclotomic_poly(15))
     assert CycInt.root(15, 14).reduced == want
 
 
 def test_eval_at_root_examples():
-    assert eval_at_root(IntPoly((1, 1, 1)), 3).is_zero()
+    assert eval_at_root((1, 1, 1), 3).is_zero()
     assert eval_at_root(cyclotomic_poly(6), 3) == -2 * CycInt.root(3)
-    assert eval_at_root(IntPoly((-1, 1)), 1).is_zero()
+    assert eval_at_root((-1, 1), 1).is_zero()
 
 
 def test_mul_matches_polynomial_multiplication():
@@ -340,7 +360,7 @@ def test_mul_matches_polynomial_multiplication():
             for i, ai in enumerate(a.coeffs):
                 for j, bj in enumerate(b.coeffs):
                     prod[i + j] += ai * bj
-            want = poly_remainder(prod, cyclotomic_poly(n).coeffs)
+            want = poly_remainder(prod, cyclotomic_poly(n))
             assert (a * b).reduced == want
 
 

@@ -7,7 +7,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torunits.augment import (
@@ -772,21 +772,30 @@ def _run_with_rows(n, d, reverse, scale):
     return _run_on(n, d, rows, _reference_trie(n, d, reverse))
 
 
+_SCALED_ROWS = st.sampled_from(_LINKED_CASES).flatmap(
+    lambda case: st.tuples(
+        st.just(case),
+        st.booleans(),
+        st.sampled_from([1, 2, case[1], 1000]),
+        st.lists(st.integers(-1, 1), min_size=case[0] // 2 + 1, max_size=case[0] // 2 + 1),
+    )
+)
+
+
+# the pinned examples run first on every run: reversed, class 0 is a later
+# step of a leaf run, and doubled rows break its bound cap + 1
+@example(((15, 5), True, 2, [1] * 8))
+@example(((21, 7), True, 2, [1] * 11))
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_joined_links_match_the_reference_on_scaled_rows(data):
+@given(_SCALED_ROWS)
+def test_joined_links_match_the_reference_on_scaled_rows(drawn):
     # each class's row times a drawn factor, and all of them times 1, 2, d
     # or 1000: the bound, divisibility and zero tests then meet values the
     # real rows never reach (survivors, near misses, bound violations), and
     # they meet them through folded runs; 1000 widens the accumulator's
     # offset far past the real rows'.  The certificates must be equal, or
     # both searches must stop at the same first violation.
-    n, d = data.draw(st.sampled_from(_LINKED_CASES), label="case")
-    reverse = data.draw(st.booleans(), label="reverse")
-    unit = data.draw(st.sampled_from([1, 2, d, 1000]), label="unit")
-    factors = data.draw(
-        st.lists(st.integers(-1, 1), min_size=n // 2 + 1, max_size=n // 2 + 1), label="factors"
-    )
+    (n, d), reverse, unit, factors = drawn
     got, want = _run_with_rows(n, d, reverse, [unit * f for f in factors])
     assert got == want
 
