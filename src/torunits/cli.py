@@ -12,10 +12,12 @@ but has no effect.
 
 Exit codes: 0 when every check passed / every case was eliminated,
 1 when a survivor or a property violation was found, 2 on invalid
-input or a report that cannot be written, 3 on an internal error (a
-failed invariant, a Chebyshev row of `basis` that does not recompose
-to its real trace, or an inexact Bareiss division in the basis
-determinant; no report is written).
+input or a report that cannot be written, 3 on an internal error: a
+failed invariant, or a failed arithmetic guard (ArithmeticError), such
+as a Chebyshev row of `basis` that does not recompose to its real
+trace, an inexact Bareiss division in the basis determinant, or a
+cyclotomic polynomial that divides inexactly or has the wrong degree.
+No report is written on exit 3.
 """
 
 from __future__ import annotations
@@ -29,16 +31,10 @@ from pathlib import Path
 
 from torunits import __version__
 from torunits.divisibility import PowerSums, check_vanishing, cyclotomic_value_divisible
-from torunits.helpengine import (
-    CaseInapplicableError,
-    InvariantViolationError,
-    check_case,
-    verify_order,
-)
+from torunits.helpengine import InvariantViolationError, check_case, verify_order
 from torunits.numtheory import euler_phi
 from torunits.psl2 import admissible_orders, group_profile
 from torunits.realbasis import (
-    DecompositionError,
     basis_change_det,
     basis_indices,
     chebyshev_coordinates,
@@ -75,12 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("verify", "case"):
             sp.add_argument(
                 "--workers", type=int, default=1, help="no effect: runs in one process (>= 1)"
-            )
-        if name == "case":
-            sp.add_argument(
-                "--list-survivors",
-                action="store_true",
-                help="print surviving patterns in the human summary",
             )
     return parser
 
@@ -147,9 +137,8 @@ def _cmd_case(args: argparse.Namespace) -> tuple[list[dict], bool]:
         f"({cert.tuples_examined} patterns, {cert.pruning_stats['near_misses']} near misses, "
         f"{cert.pruning_stats['survivors']} survivors)"
     )
-    if args.list_survivors and cert.survivors:
-        for s in cert.survivors:
-            print(f"  survivor: {list(s)}")
+    for s in cert.survivors:
+        print(f"  survivor: {list(s)}")
     return [cert.to_json_dict()], cert.verdict == "eliminated"
 
 
@@ -310,10 +299,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"need at least 1 worker, got {args.workers}")
         results, ok = _COMMANDS[args.command][0](args)
-    except (ValueError, CaseInapplicableError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvariantViolationError, DecompositionError) as exc:
+    except (InvariantViolationError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     path = Path(args.output or "report.json")

@@ -19,9 +19,9 @@ Moebius product), never computed numerically.
 Three private primitives on coefficient lists carry this arithmetic,
 and that of divisibility, realbasis, augment and oracles: _fold
 (sum c_j X^(s*j) modulo X^m - 1), _convolve (the product) and
-_long_divide (quotient and remainder).  _fold_pairs is the fold of
-sign-class data, and _root_walk steps the canonical form of a root of
-unity up or down one exponent at a time, with no division.
+_long_divide (quotient and remainder by a monic divisor).  _fold_pairs
+is the fold of sign-class data, and _root_walk steps the canonical form
+of a root of unity up or down one exponent at a time, with no division.
 """
 
 from __future__ import annotations
@@ -72,25 +72,22 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _long_divide(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of num by den over Z, by schoolbook long division.
+    """Quotient and remainder of num by the monic den over Z, by schoolbook long division.
 
-    den must end in a nonzero coefficient; the remainder has exactly
-    len(den) - 1 coefficients.  A quotient coefficient that is not an
-    integer raises ValueError.  A monic divisor takes each quotient
-    coefficient as it stands, with no divmod.
+    den must end in 1, so every quotient coefficient is an integer as it
+    stands; any other leading coefficient raises ValueError.  Both
+    callers divide by monic polynomials: Phi_n and the binomials
+    X^e - 1.  The remainder has exactly len(den) - 1 coefficients.
     """
+    if den[-1] != 1:
+        raise ValueError(f"divisor must be monic, got leading coefficient {den[-1]}")
     dd = len(den) - 1
-    lead = den[-1]
     terms = [(j, c) for j, c in enumerate(den[:dd]) if c]
     rem = list(num)
     quot = [0] * max(len(rem) - dd, 0)
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
         if c:
-            if lead != 1:
-                c, r = divmod(c, lead)
-                if r:
-                    raise ValueError("inexact polynomial division")
             off = i - dd
             quot[off] = c
             for j, dc in terms:
@@ -107,7 +104,7 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     For squarefree m > 1, Phi_m = prod over e | m of (X^e - 1)^mu(m/e):
     the binomials with mu = +1 are multiplied, and then those with
     mu = -1 are divided out exactly, each step one pass over the
-    coefficients; a division that leaves a remainder raises ValueError.
+    coefficients; a division that leaves a remainder raises ArithmeticError.
     For general m the squarefree core is inflated via the exponent
     substitution X -> X^(m/rad(m)).  Both steps are exact integer
     arithmetic and the result is checked to be monic of degree
@@ -134,7 +131,7 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
         for binomial in denominators:
             out, rem = _long_divide(out, binomial)
             if any(rem):
-                raise ValueError("inexact polynomial division: nonzero remainder")
+                raise ArithmeticError("inexact polynomial division: nonzero remainder")
     if out[-1] != 1 or len(out) - 1 != euler_phi(m):
         raise ArithmeticError(f"cyclotomic polynomial computation failed for m={m}")
     return tuple(out)

@@ -85,8 +85,6 @@ class Candidate:
 @dataclass(frozen=True)
 class CandidateDivisors:
     n: int
-    applicable: bool
-    reason: str | None
     retained: tuple[Candidate, ...]
     dropped: tuple[tuple[int, str], ...]
 
@@ -103,15 +101,18 @@ def candidate_divisors(n: int) -> CandidateDivisors:
     eigenvalue slot is possible (n/d is not the smallest prime dividing
     n) the sharper bound 2^(#primes(d)+2) applies.  Dropped divisors
     are eliminated a priori: the deviation vector can never reach d.
+
+    An order outside the case ledger (not positive, even, 1 or a prime
+    power) raises CaseInapplicableError naming the reason.
     """
     if n < 1:
-        return CandidateDivisors(n, False, "non-positive order", (), ())
+        raise CaseInapplicableError(f"order {n} not applicable: non-positive order")
     if n % 2 == 0:
-        return CandidateDivisors(n, False, "even order", (), ())
+        raise CaseInapplicableError(f"order {n} not applicable: even order")
     if n < 3:
-        return CandidateDivisors(n, False, "trivial order", (), ())
+        raise CaseInapplicableError(f"order {n} not applicable: trivial order")
     if is_prime_power(n):
-        return CandidateDivisors(n, False, "prime-power order", (), ())
+        raise CaseInapplicableError(f"order {n} not applicable: prime-power order")
     smallest = prime_divisors(n)[0]
     retained = []
     dropped = []
@@ -126,7 +127,7 @@ def candidate_divisors(n: int) -> CandidateDivisors:
             dropped.append((d, f"coefficient bound {cap} < {d} with no class-0 slot"))
         else:
             retained.append(Candidate(d, zero_slot_open))
-    return CandidateDivisors(n, True, None, tuple(retained), tuple(dropped))
+    return CandidateDivisors(n, tuple(retained), tuple(dropped))
 
 
 # -- eigenvalue patterns -------------------------------------------------
@@ -387,8 +388,6 @@ def check_case(n: int, d: int) -> CaseCertificate:
     bound violation the search would meet.
     """
     cands = candidate_divisors(n)
-    if not cands.applicable:
-        raise CaseInapplicableError(f"order {n} not applicable: {cands.reason}")
     by_d = {c.d: c for c in cands.retained}
     if d not in by_d:
         dropped = dict(cands.dropped)

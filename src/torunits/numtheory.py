@@ -21,19 +21,8 @@ from functools import lru_cache
 
 
 def is_prime(m: int) -> bool:
-    """Trial-division primality test; inputs stay at desk scale."""
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether m is prime: its factorization is m itself, once."""
+    return m > 1 and factorize(m) == ((m, 1),)
 
 
 @lru_cache(maxsize=None)
@@ -99,20 +88,6 @@ def divisors(m: int) -> tuple[int, ...]:
     for p, e in factorize(m):
         out = [d * p**k for d in out for k in range(e + 1)]
     return tuple(sorted(out))
-
-
-def valuation(p: int, m: int) -> int:
-    """Largest v with p^v dividing m; m must be nonzero and p prime."""
-    if m == 0:
-        raise ValueError("valuation is undefined at 0")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    v = 0
-    m = abs(m)
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
 
 
 def signed_residue(x: int, n: int) -> int:

@@ -8,11 +8,19 @@ import json
 import random
 import time
 
+import pytest
+
 from torunits.augment import AugVector
 from torunits.cli import main
 from torunits.cyclotomic import CycInt, real_trace
 from torunits.divisibility import check_vanishing, cyclotomic_value_divisible, recipe_instance
-from torunits.helpengine import candidate_divisors, check_case, enumerate_patterns, verify_order
+from torunits.helpengine import (
+    CaseInapplicableError,
+    candidate_divisors,
+    check_case,
+    enumerate_patterns,
+    verify_order,
+)
 from torunits.numtheory import (
     basis_exponents,
     divisors,
@@ -130,7 +138,8 @@ def test_case_analysis_reproduction():
         details.append(f"({n},{d})={cert.tuples_examined}")
 
     # prime-power orders fall outside the case analysis
-    assert not candidate_divisors(27).applicable
+    with pytest.raises(CaseInapplicableError, match="^order 27 not applicable: prime-power order$"):
+        candidate_divisors(27)
 
     # the recorded witness of the hardest small case: the single pattern
     # that reaches the required deviation size still fails divisibility,

@@ -12,6 +12,7 @@ import pytest
 from torunits.cli import main
 from torunits.cyclotomic import cyclotomic_poly
 from torunits.helpengine import InvariantViolationError
+from torunits.numtheory import divisors, moebius
 from torunits.realbasis import DecompositionError
 
 DATA = Path(__file__).parent / "data"
@@ -247,6 +248,7 @@ def test_missing_required_flags(argv, tmp_path, capsys):
         ["case", "--n", "45", "--d", "15", "--q", "7"],
         ["basis", "--n", "15", "--workers", "2"],
         ["verify", "--q", "16", "--list-survivors"],
+        ["case", "--n", "15", "--d", "3", "--list-survivors"],
     ],
 )
 def test_command_rejects_flags_it_does_not_read(argv, tmp_path, capsys):
@@ -376,6 +378,57 @@ def test_class_zero_slot_breach_is_an_internal_error(monkeypatch, tmp_path, caps
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("internal error: enumeration emitted a pattern violating the class-0 slot rule")
+
+
+def _drop_five_from_fifteen(m):
+    # the fault of test_wrong_degree_raises: Phi_15 divides exactly but has degree 13
+    return [1, 3, 15] if m == 15 else divisors(m)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        ("divisors", _drop_five_from_fifteen),
+        # the fault of test_inexact_division_raises: a division leaves a remainder
+        ("moebius", lambda k: -moebius(k)),
+    ],
+    ids=["wrong-degree", "inexact-division"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["basis", "--n", "15"], ["lemma-phi", "--n", "15", "--p", "7", "--m", "1"]],
+    ids=["basis", "lemma-phi"],
+)
+def test_failed_cyclotomic_guard_is_an_internal_error(fault, argv, monkeypatch, tmp_path, capsys):
+    from torunits import cyclotomic
+
+    # the polynomials built under the fault must not outlive the test
+    cyclotomic_poly.cache_clear()
+    try:
+        monkeypatch.setattr(cyclotomic, *fault)
+        out = tmp_path / "x.json"
+        code = main(argv + ["--output", str(out)])
+    finally:
+        monkeypatch.undo()
+        cyclotomic_poly.cache_clear()
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("internal error: ")
+
+
+def test_case_lists_its_survivors(monkeypatch, tmp_path, capsys):
+    from dataclasses import replace
+
+    from torunits import cli, helpengine
+
+    # no known case has a survivor, so one is planted in the certificate of (15, 3)
+    cert = replace(helpengine.check_case(15, 3), verdict="survivors_found", survivors=((6, 7, 7),))
+    monkeypatch.setattr(cli, "check_case", lambda n, d: cert)
+    code, payload = run_cli(["case", "--n", "15", "--d", "3"], tmp_path)
+    assert code == 1
+    assert "\n  survivor: [6, 7, 7]\n" in capsys.readouterr().out
+    (result,) = payload["results"]
+    assert result["survivors"] == [[6, 7, 7]]
 
 
 def test_failed_report_write_leaves_no_partial_file(monkeypatch, tmp_path, capsys):

@@ -143,9 +143,10 @@ def test_candidate_divisors_examples():
     c45 = candidate_divisors(45)
     assert c45.retained_ds == (3, 5, 15)
     assert dict(c45.dropped).keys() == {9}
-    c27 = candidate_divisors(27)
-    assert not c27.applicable and c27.reason == "prime-power order"
-    assert not candidate_divisors(12).applicable
+    with pytest.raises(CaseInapplicableError, match="^order 27 not applicable: prime-power order$"):
+        candidate_divisors(27)
+    with pytest.raises(CaseInapplicableError, match="^order 12 not applicable: even order$"):
+        candidate_divisors(12)
 
 
 def test_candidate_divisors_zero_slot_flags():

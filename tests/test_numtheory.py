@@ -7,6 +7,7 @@ from torunits.numtheory import (
     divisors,
     euler_phi,
     factorize,
+    is_prime,
     moebius,
     near_zero_part,
     pair_weight,
@@ -14,22 +15,18 @@ from torunits.numtheory import (
     radical,
     same_class,
     signed_residue,
-    valuation,
 )
 
 
-def test_valuation():
-    assert valuation(3, 45) == 2
-    assert valuation(5, 45) == 1
-    assert valuation(7, 45) == 0
-    assert valuation(2, -24) == 3
-
-
-def test_valuation_rejects_zero_and_composite():
-    with pytest.raises(ValueError):
-        valuation(3, 0)
-    with pytest.raises(ValueError):
-        valuation(6, 12)
+def test_is_prime_matches_a_sieve():
+    # a sieve of Eratosthenes, independent of factorize; negatives, 0 and 1 are not prime
+    limit = 10_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+    for m in range(-5, limit):
+        assert is_prime(m) == (m >= 0 and sieve[m]), m
 
 
 def test_moebius():
