@@ -51,16 +51,32 @@ and sorts only the survivors and near misses, in one process, so
 certificates are byte-stable.
 enumerate_patterns expands the same trie into the sorted tuple stream
 the tests check against.
+
+check_case runs that search once per signature.  Write n = s * P, P the
+product of the k primes p || n with p > 2d.  Since d | s, every usable
+class has, at each such p, a residue in +-{1..d}, with one sign shared
+by all of them, and a prime > 2d keeps those residues distinct and
+nonzero.  So replacing the primes of P by other primes > 2d that do not
+divide s, with each residue kept, is a bijection of usable classes and
+of admissible patterns, under which the rows agree up to a relabelling
+of basis positions: basis membership, moebius(g), pair_weight and
+zero_slot_open are the same on both sides (the proof is in check_case).
+check_case therefore reads the verdict, the pattern count and the
+pruning stats of (n, d) off the memoized search of its proxy, n with
+the primes of P replaced by the smallest such primes, and searches n
+itself only when the proxy's certificate names a survivor or a near
+miss, whose pattern and basis index would need mapping back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, product
-from math import gcd
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import chain, combinations_with_replacement, count, islice, product
+from math import gcd, prod
 from typing import Iterator, Mapping
 
-from torunits.numtheory import class_rep, class_reps, divisors, prime_count, prime_divisors
+from torunits.numtheory import class_rep, class_reps, divisors, is_prime, prime_count, prime_divisors
 from torunits.psl2 import group_profile, is_prime_power
 from torunits.realbasis import basis_indices, trace_coordinates
 
@@ -101,6 +117,19 @@ def candidate_divisors(n: int) -> CandidateDivisors:
     eigenvalue slot is possible (n/d is not the smallest prime dividing
     n) the sharper bound 2^(#primes(d)+2) applies.  Dropped divisors
     are eliminated a priori: the deviation vector can never reach d.
+
+    So every retained d is 3, 5, 7 or 15.  An odd d with one prime is a
+    prime power at most 1 + 2^3 = 9: 3, 5, 7 or 9.  With two primes it
+    is at most 17, which leaves 15 (the next, 21, exceeds it).  With
+    w >= 3 primes it is at least 3 * 5 * 7 * 11^(w - 3), which exceeds
+    1 + 2^(w + 2) (105 > 33, and each further prime multiplies the
+    bound by 2 and d by at least 11).  d = 9 exceeds 8, so it needs the
+    class-0 slot, n/9 = 3, and n = 27 is a prime power.  Likewise an
+    open slot needs n = d * p0 with p0 the smallest prime of n, so at
+    most the smallest prime of d: n in {15, 25} for d = 5, {21, 35, 49}
+    for d = 7 and {45} for d = 15 (d = 3 gives 9).  Leaving out the
+    prime powers, the slot is open in exactly (15, 5), (21, 7), (35, 7)
+    and (45, 15).
 
     An order outside the case ledger (not positive, even, 1 or a prime
     power) raises CaseInapplicableError naming the reason.
@@ -344,11 +373,13 @@ class CaseCertificate:
         }
 
 
-def check_case(n: int, d: int) -> CaseCertificate:
-    """Examine every admissible pattern for (n, d) and certify the outcome.
+def _search(n: int, d: int, zero_slot_open: bool) -> CaseCertificate:
+    """Search every admissible pattern of (n, d) itself and certify the outcome.
 
-    A pattern survives iff its deviation vector is nonzero and divisible
-    by d at every basis index; "eliminated" means no pattern survives.
+    The one search of the engine; check_case calls it after its checks,
+    with zero_slot_open from candidate_divisors(n).  A pattern survives
+    iff its deviation vector is nonzero and divisible by d at every
+    basis index; "eliminated" means no pattern survives.
     One depth-first search over the assignment trie visits each pattern
     once, as a stack of per-cell class groups: pushing a group adds its
     summed row to the deviation and popping it subtracts the row, and a
@@ -387,18 +418,9 @@ def check_case(n: int, d: int) -> CaseCertificate:
     before the search starts, so it is reported ahead of any deviation
     bound violation the search would meet.
     """
-    cands = candidate_divisors(n)
-    by_d = {c.d: c for c in cands.retained}
-    if d not in by_d:
-        dropped = dict(cands.dropped)
-        if d in dropped:
-            raise CaseInapplicableError(f"divisor {d} of {n} excluded a priori: {dropped[d]}")
-        raise CaseInapplicableError(f"{d} is not a candidate divisor of {n}")
-
     basis, rows = basis_indices(n), trace_coordinates(n)
     cells, trie = _assignment_trie(n, d)
     cap = 2 ** (prime_count(d) + 2)
-    zero_slot_open = by_d[d].zero_slot_open
 
     survivors: list[tuple[int, ...]] = []
     near: list[NearMiss] = []
@@ -540,6 +562,109 @@ def check_case(n: int, d: int) -> CaseCertificate:
         near_misses=tuple(near),
         basis=basis,
     )
+
+
+def _proxy_order(n: int, d: int) -> int:
+    """n with its primes p || n, p > 2d, replaced by the smallest primes > 2d coprime to the rest.
+
+    Write n = s * P, P the product of the k primes p || n with p > 2d.
+    The proxy is s times the k smallest primes > 2d that do not divide
+    s, taking the place of the primes of P in increasing order, so it is
+    at most n, and it is n when P is already those primes (k = 0
+    included).  By the lemma in check_case, (n, d) and its proxy have
+    the same verdict, pattern count and pruning stats.
+    """
+    large = [p for p in prime_divisors(n) if p > 2 * d and n % (p * p)]
+    s = n // prod(large)
+    primes = (p for p in count(2 * d + 1) if s % p and is_prime(p))
+    return s * prod(islice(primes, len(large)))
+
+
+# the search of a proxy order, shared by every order with its signature;
+# a module-level functools cache, so emptying every cache_clear of torunits
+# empties it
+_proxy_search = lru_cache(maxsize=None)(_search)
+
+
+def check_case(n: int, d: int) -> CaseCertificate:
+    """Examine every admissible pattern for (n, d) and certify the outcome.
+
+    The patterns are searched once, by _search, on n itself or on a
+    smaller order with the same signature, its proxy (_proxy_order).
+    A proxy's search is memoized, so every order of one signature
+    shares it, and it runs with n's class-0 slot.  The certificate
+    always names n, that slot and n's basis indices; from the proxy it
+    takes the verdict, tuples_examined and the pruning stats, which the
+    lemma below shows are the same for n.  A survivor or near miss names a pattern and a
+    basis index, which the lemma relabels, so when the proxy's
+    certificate has any, or its search fails an invariant, check_case
+    searches n itself instead of mapping them back.  A certificate read
+    off the proxy is thus one in which every pattern has a zero
+    deviation or fails divisibility with every |v| < d.
+
+    The lemma.  Write n = s * P, where P = p_1 ... p_k is the product of
+    the primes p || n with p > 2d, and let P' = p'_1 ... p'_k be any k
+    distinct primes > 2d that do not divide s, paired with the p_i in
+    increasing order; n' = s * P'.  Then (n, d) and (n', d) have the
+    same verdict, pattern count and pruning stats.
+    - Residues at the large primes.  d | s, since d | n and no prime of
+      d exceeds d.  Take a prime r | d: r | s, so P | n/r.  A usable
+      class x has a wanted residue at the modulus n/r, x = e*j mod n/r
+      for a sign e and some j in 1..d, so x = e*j mod P: at every
+      large prime x has the residue +-j, with one shared sign.  As
+      p_i > 2d, the residues +-1, ..., +-d are distinct and nonzero
+      mod p_i, so x mod p_i alone fixes (e, j), and x is never 0 mod p_i.
+    - Patterns.  Map x to the class x' with x' = x mod s and x' = e*j
+      mod P' (s and P' are coprime).  -x maps to -x', so sign classes
+      map to sign classes, and the classes 1..d map to themselves.  At
+      a modulus n/p with p | s, the residue of x is that of
+      (x mod s/p, e*j mod P), which is +-i exactly when i = j with the
+      sign e and x = +-i mod s/p, and the same holds for x' at n'/p.
+      At n/p_i it is (x mod s, e*j mod P/p_i), matched with n'/p'_i in
+      the same way.  So x -> x' is a bijection of usable classes that
+      keeps every residue counter, hence a bijection of admissible
+      patterns, and the pattern counts agree.
+    - Rows and basis.  At a large prime p (exponent 1) the near-zero
+      band is the residue 0 alone, which no usable class takes, so
+      g = near_zero_part(n, x) divides s, depends only on x mod s, and
+      equals near_zero_part(n', x'); moebius(g) agrees.  pair_weight is
+      1 on both sides, as x is not 0 mod n.  The row of x holds the
+      value pair_weight * moebius(g) at the basis exponents b = +-x
+      mod n/g.  P | n/g, so such a b is +-e*j mod P: nonzero at every
+      large prime, which is where basis membership asks b = 0 mod p to
+      fail, while at the primes of s membership depends on b mod s.
+      The same CRT map sends these b one to one onto the basis
+      exponents b' = +-x' mod n'/g, so the row of x' is the row of x
+      with its basis positions relabelled, the same relabelling for
+      every usable class.  Every position a row touches is such a b, so
+      a pattern's deviation vector and its image's hold the same values,
+      and the zero, divisibility and |v| >= d tests and the bound agree.
+    - The class-0 slot.  Class 0 is not usable when k >= 1 (it is 0 mod
+      p_1), and zero_slot_open is false on both sides: p_1 | n/d, so
+      n/d could only be the smallest prime of n if it were p_1, but the
+      primes of d are smaller.
+    The threshold 2d is sharp for the argument: with a prime d < p <= 2d,
+    some j != i in 1..d have j = -i mod p, and (91, 7) has 21600
+    patterns where (77, 7) has 11592.
+    """
+    cands = candidate_divisors(n)
+    by_d = {c.d: c for c in cands.retained}
+    if d not in by_d:
+        dropped = dict(cands.dropped)
+        if d in dropped:
+            raise CaseInapplicableError(f"divisor {d} of {n} excluded a priori: {dropped[d]}")
+        raise CaseInapplicableError(f"{d} is not a candidate divisor of {n}")
+    zero_slot_open = by_d[d].zero_slot_open
+    proxy = _proxy_order(n, d)
+    if proxy != n:
+        try:
+            cert = _proxy_search(proxy, d, zero_slot_open)
+        except InvariantViolationError:
+            pass  # the search of n raises it again, naming n's pattern
+        else:
+            if not cert.survivors and not cert.near_misses:
+                return replace(cert, n=n, basis=basis_indices(n))
+    return _search(n, d, zero_slot_open)
 
 
 # -- order-level verdicts -------------------------------------------------

@@ -165,6 +165,36 @@ def test_basis_reports_match_fixture(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want, n
 
 
+def _empty_torunits_caches():
+    for name, module in list(sys.modules.items()):
+        if name == "torunits" or name.startswith("torunits."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_large_orders_match_fixture(tmp_path):
+    # recorded in tests/data/large_order_certificates.json: the verify_order
+    # JSON of 24 seeded orders of q < 2^16 and of four orders n >= 10^5 of
+    # q < 2^20 (3p, 5p, 7p and 49p, each with one case whose patterns are
+    # many and whose n has a prime p > 2d), and the verify --q 524287 report
+    from torunits.helpengine import verify_order
+
+    fixture = json.loads((DATA / "large_order_certificates.json").read_text())
+    assert sum(int(key.split(",")[1]) >= 10**5 for key in fixture["orders"]) == 4
+    try:
+        for key, want in fixture["orders"].items():
+            q, n = map(int, key.split(","))
+            blob = json.dumps(verify_order(n, q).to_json_dict(), indent=2).encode()
+            assert hashlib.sha256(blob).hexdigest() == want, key
+        out = tmp_path / "report.json"
+        assert main(["verify", "--q", "524287", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == fixture["verify_q_524287"]
+    finally:
+        # the rows and bases of these orders are large: leave no cache behind
+        _empty_torunits_caches()
+
+
 def test_orders_command(tmp_path):
     code, payload = run_cli(["orders", "--q", "127"], tmp_path)
     assert code == 0

@@ -4,6 +4,7 @@ import json
 import random
 from dataclasses import replace
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,17 @@ from torunits.psl2 import character_value
 from torunits.realbasis import basis_indices
 
 DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def _empty_proxy_memo():
+    # several tests patch trace_coordinates or _assignment_trie; a proxy
+    # search memoized under a patch must not answer for a later test
+    from torunits import helpengine
+
+    helpengine._proxy_search.cache_clear()
+    yield
+    helpengine._proxy_search.cache_clear()
 
 
 def random_aug_vector(n, rng, spread=3):
@@ -156,6 +168,20 @@ def test_candidate_divisors_zero_slot_flags():
     assert flags == {3: False, 7: True}
     flags = {c.d: c.zero_slot_open for c in candidate_divisors(35).retained}
     assert flags == {5: False, 7: True}
+
+
+def test_retained_divisors_are_3_5_7_or_15():
+    # the d lemma of candidate_divisors, on every odd composite n < 20,000:
+    # every retained d is 3, 5, 7 or 15, and the class-0 slot is open in
+    # exactly four cases
+    ds, open_slots = set(), []
+    for n in _odd_composites(20_000):
+        for c in candidate_divisors(n).retained:
+            ds.add(c.d)
+            if c.zero_slot_open:
+                open_slots.append((n, c.d))
+    assert ds == {3, 5, 7, 15}
+    assert open_slots == [(15, 5), (21, 7), (35, 7), (45, 15)]
 
 
 # -- pattern enumeration ---------------------------------------------------
@@ -955,6 +981,134 @@ def test_check_case_certificates_match_fixture():
         n, d = map(int, key.split(","))
         blob = json.dumps(check_case(n, d).to_json_dict(), indent=2).encode()
         assert hashlib.sha256(blob).hexdigest() == want, key
+
+
+# -- the proxy order ----------------------------------------------------------
+
+
+def test_proxy_order_examples():
+    from torunits.helpengine import _proxy_order
+
+    # 7 * 73 -> 7 * 17, 17 the smallest prime > 14
+    assert _proxy_order(7 * 73, 7) == 119
+    # 13 and 11 are not above 2d = 14: (91, 7) and (77, 7) are their own proxies
+    assert _proxy_order(91, 7) == 91 and _proxy_order(77, 7) == 77
+    # k = 2: 7 and 17 exceed 6 in 1785 = 3 * 5 * 7 * 17, and 5 does not
+    assert _proxy_order(1785, 3) == 15 * 7 * 11
+    assert _proxy_order(1785, 5) == 105 * 11
+    # a prime > 2d that divides the rest s is not a proxy prime: its square
+    # stays in s, and the proxy takes the next prime
+    assert _proxy_order(3 * 7**2 * 41, 3) == 3 * 7**2 * 11
+    assert _proxy_order(7 * 17**2 * 29, 7) == 7 * 17**2 * 19
+    assert _proxy_order(7 * 17**2 * 19, 7) == 7 * 17**2 * 19
+    # the proxy primes are at most n's own, so the proxy is at most n
+    for n in _odd_composites(2000):
+        for d in candidate_divisors(n).retained_ds:
+            assert _proxy_order(n, d) <= n, (n, d)
+
+
+def _signature_case(s, d, p):
+    # the direct search of (s * p, d), which has no class-0 slot
+    from torunits.helpengine import _search
+
+    return _search(s * p, d, False)
+
+
+def _counts(cert):
+    return cert.verdict, cert.tuples_examined, dict(cert.pruning_stats)
+
+
+_PRIMES_UNDER_100 = [p for p in range(3, 100, 2) if all(p % r for r in range(3, p, 2))]
+
+
+def _lemma_draw(d):
+    # s = d * t, t <= 2d with every prime of t at most 2d, so no prime of s
+    # is a large prime of s * p; p1, p2: two of the six smallest primes > 2d
+    # that do not divide s
+    small = [r for r in _PRIMES_UNDER_100 if r <= 2 * d]
+    ts = st.lists(st.sampled_from(small), max_size=2).map(prod).filter(lambda t: t <= 2 * d)
+    return ts.flatmap(
+        lambda t: st.tuples(
+            st.just((d, d * t)),
+            st.lists(
+                st.sampled_from([p for p in _PRIMES_UNDER_100 if p > 2 * d and t % p][:6]),
+                min_size=2,
+                max_size=2,
+            ),
+        )
+    )
+
+
+@example(((7, 7), [73, 19]))
+@example(((15, 15), [31, 37]))
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([3, 5, 7, 15]).flatmap(_lemma_draw))
+def test_check_case_equals_the_direct_search_on_any_large_prime(drawn):
+    # the lemma of check_case: (s * p1, d) and (s * p2, d) have the same
+    # verdict, counts and stats for any primes p1, p2 > 2d coprime to s, and
+    # check_case, which reads them off the smallest such proxy, gives the
+    # direct search's certificate
+    (d, s), (p1, p2) = drawn
+    got = check_case(s * p1, d)
+    direct = _signature_case(s, d, p1)
+    assert _certificate_json(got) == _certificate_json(direct)
+    assert _counts(got) == _counts(_signature_case(s, d, p2))
+
+
+@pytest.mark.parametrize("fault", ["near miss", "survivor", "invariant"])
+def test_proxy_with_a_witness_sends_check_case_to_the_direct_search(monkeypatch, fault):
+    # a proxy's near misses and survivors name its own patterns and basis
+    # indices, and a failed invariant names its own pattern, so check_case
+    # searches n itself rather than map them back
+    from torunits import helpengine
+    from torunits.helpengine import InvariantViolationError
+
+    n, d = 7 * 73, 7
+    real = helpengine._proxy_search(119, d, False)
+    pattern = (1, 2, 3, 4, 5, 6, 8)
+    calls = []
+
+    def proxy_search(*key):
+        calls.append(key)
+        if fault == "invariant":
+            raise InvariantViolationError(f"deviation 9 exceeds bound 8 on pattern {pattern}")
+        if fault == "survivor":
+            return replace(real, survivors=(pattern,), verdict="survivors_found")
+        return replace(real, near_misses=(NearMiss(pattern, 7, 1, 3),))
+
+    monkeypatch.setattr(helpengine, "_proxy_search", proxy_search)
+    got = helpengine.check_case(n, d)
+    assert calls == [(119, d, False)]
+    assert _certificate_json(got) == _certificate_json(_signature_case(7, d, 73))
+
+
+def test_proxy_search_is_memoized_per_divisor():
+    # 1785 = 3 * 5 * 7 * 17: d = 3 and d = 5 share the proxy 1155, which the
+    # memo holds twice, once per d; each certificate is the direct search's
+    from torunits import helpengine
+
+    for d in (3, 5, 7, 15):
+        assert _certificate_json(check_case(1785, d)) == _certificate_json(
+            helpengine._search(1785, d, False)
+        ), d
+    assert helpengine._proxy_search.cache_info().currsize == 2
+
+
+def test_emptying_every_cache_of_torunits_empties_the_proxy_memo():
+    # how a fresh pass of a benchmark resets the engine: every cache_clear
+    # attribute of every torunits module
+    import sys
+
+    from torunits import helpengine
+
+    check_case(7 * 73, 7)
+    assert helpengine._proxy_search.cache_info().currsize == 1
+    for name, module in list(sys.modules.items()):
+        if name == "torunits" or name.startswith("torunits."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    assert helpengine._proxy_search.cache_info().currsize == 0
 
 
 def test_verify_order_prime_power_and_trivial():
