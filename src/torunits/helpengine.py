@@ -65,7 +65,10 @@ check_case therefore reads the verdict, the pattern count and the
 pruning stats of (n, d) off the memoized search of its proxy, n with
 the primes of P replaced by the smallest such primes, and searches n
 itself only when the proxy's certificate names a survivor or a near
-miss, whose pattern and basis index would need mapping back.
+miss, whose pattern and basis index would need mapping back.  When n
+is its own proxy (k = 0 included) the memoized search is n's own, so a
+case met again, as when verify decides one order under several q,
+costs a lookup.
 """
 
 from __future__ import annotations
@@ -580,9 +583,9 @@ def _proxy_order(n: int, d: int) -> int:
     return s * prod(islice(primes, len(large)))
 
 
-# the search of a proxy order, shared by every order with its signature;
-# a module-level functools cache, so emptying every cache_clear of torunits
-# empties it
+# the search of a proxy order, shared by every order with its signature
+# and by n itself when n is its own proxy; a module-level functools cache,
+# so emptying every cache_clear of torunits empties it
 _proxy_search = lru_cache(maxsize=None)(_search)
 
 
@@ -592,14 +595,16 @@ def check_case(n: int, d: int) -> CaseCertificate:
     The patterns are searched once, by _search, on n itself or on a
     smaller order with the same signature, its proxy (_proxy_order).
     A proxy's search is memoized, so every order of one signature
-    shares it, and it runs with n's class-0 slot.  The certificate
-    always names n, that slot and n's basis indices; from the proxy it
-    takes the verdict, tuples_examined and the pruning stats, which the
-    lemma below shows are the same for n.  A survivor or near miss names a pattern and a
+    shares it, and it runs with n's class-0 slot.  When n is its own
+    proxy, the memoized certificate is n's and is returned as it is,
+    witnesses included.  Otherwise the certificate names n, that slot
+    and n's basis indices; from the proxy it takes the verdict,
+    tuples_examined and the pruning stats, which the lemma below shows
+    are the same for n.  A survivor or near miss names a pattern and a
     basis index, which the lemma relabels, so when the proxy's
     certificate has any, or its search fails an invariant, check_case
     searches n itself instead of mapping them back.  A certificate read
-    off the proxy is thus one in which every pattern has a zero
+    off a smaller proxy is thus one in which every pattern has a zero
     deviation or fails divisibility with every |v| < d.
 
     The lemma.  Write n = s * P, where P = p_1 ... p_k is the product of
@@ -656,14 +661,15 @@ def check_case(n: int, d: int) -> CaseCertificate:
         raise CaseInapplicableError(f"{d} is not a candidate divisor of {n}")
     zero_slot_open = by_d[d].zero_slot_open
     proxy = _proxy_order(n, d)
-    if proxy != n:
-        try:
-            cert = _proxy_search(proxy, d, zero_slot_open)
-        except InvariantViolationError:
-            pass  # the search of n raises it again, naming n's pattern
-        else:
-            if not cert.survivors and not cert.near_misses:
-                return replace(cert, n=n, basis=basis_indices(n))
+    if proxy == n:
+        return _proxy_search(n, d, zero_slot_open)
+    try:
+        cert = _proxy_search(proxy, d, zero_slot_open)
+    except InvariantViolationError:
+        pass  # the search of n raises it again, naming n's pattern
+    else:
+        if not cert.survivors and not cert.near_misses:
+            return replace(cert, n=n, basis=basis_indices(n))
     return _search(n, d, zero_slot_open)
 
 

@@ -46,17 +46,6 @@ from torunits.realbasis import basis_indices
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.fixture(autouse=True)
-def _empty_proxy_memo():
-    # several tests patch trace_coordinates or _assignment_trie; a proxy
-    # search memoized under a patch must not answer for a later test
-    from torunits import helpengine
-
-    helpengine._proxy_search.cache_clear()
-    yield
-    helpengine._proxy_search.cache_clear()
-
-
 def random_aug_vector(n, rng, spread=3):
     values = {x: rng.randint(-spread, spread) for x in range(1, n // 2 + 1)}
     values[1] += 1 - sum(values.values())
@@ -580,8 +569,11 @@ def test_check_case_is_symmetric_under_negated_rows(monkeypatch):
         cert = check_case(n, d)
         rows = {x: tuple((k, -v) for k, v in row) for x, row in trace_coordinates(n).items()}
         monkeypatch.setattr(helpengine, "trace_coordinates", lambda m: rows)
+        # check_case memoizes its search: search the flipped rows afresh
+        helpengine._proxy_search.cache_clear()
         flipped = helpengine.check_case(n, d)
         monkeypatch.undo()
+        helpengine._proxy_search.cache_clear()
         assert flipped.pruning_stats == cert.pruning_stats, (n, d)
         assert flipped.near_misses == tuple(
             replace(nm, deviation=-nm.deviation) for nm in cert.near_misses
@@ -787,6 +779,7 @@ def _run_on(n, d, rows, built):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(helpengine, "trace_coordinates", lambda m: rows)
         mp.setattr(helpengine, "_assignment_trie", lambda m, e: folded)
+        helpengine._proxy_search.cache_clear()
         return run(helpengine.check_case), run(_reference_check_case)
 
 
@@ -1084,14 +1077,19 @@ def test_proxy_with_a_witness_sends_check_case_to_the_direct_search(monkeypatch,
 
 def test_proxy_search_is_memoized_per_divisor():
     # 1785 = 3 * 5 * 7 * 17: d = 3 and d = 5 share the proxy 1155, which the
-    # memo holds twice, once per d; each certificate is the direct search's
+    # memo holds twice, once per d; for d = 7 (17 is the smallest prime > 14)
+    # and d = 15 (17 < 30) 1785 is its own proxy, memoized too.  Each
+    # certificate is the direct search's, and a case met again is a lookup
     from torunits import helpengine
 
     for d in (3, 5, 7, 15):
         assert _certificate_json(check_case(1785, d)) == _certificate_json(
             helpengine._search(1785, d, False)
         ), d
-    assert helpengine._proxy_search.cache_info().currsize == 2
+    assert helpengine._proxy_search.cache_info().currsize == 4
+    hits = helpengine._proxy_search.cache_info().hits
+    assert check_case(1785, 15) is check_case(1785, 15)
+    assert helpengine._proxy_search.cache_info().hits == hits + 2
 
 
 def test_emptying_every_cache_of_torunits_empties_the_proxy_memo():
