@@ -39,15 +39,16 @@ counters packed into one int, so equal subtries are built once and
 shared: the trie is a DAG.  A cell of one class offers one choice, so
 the walk folds a node with a single edge from such a cell into the
 edge above it: an edge carries a run of (cell, count) steps.
-check_case searches the DAG depth first, adding the sparse
-closed-formula rows of realbasis.trace_coordinates into a flat
-deviation list, one entry per basis position, and classifies each
-tuple when it reaches it, without listing the tuples.  Each entry is
-stored plus an offset derived from the rows, so it indexes a list
-tally of the two running counts directly.  It first resolves each DAG
-node once, looking up the class groups of its edges' runs, each with
-its rows summed, so a run costs one push.  It classifies in trie order
-and sorts only the survivors and near misses, in one process, so
+check_case searches the DAG depth first and classifies each tuple
+when it reaches it, without listing the tuples.  The deviation is one
+int, a fixed-width field per basis position holding the entry plus an
+offset derived from the rows, so a push adds a packed row and a leaf is
+classified by a handful of int operations; only a tuple with some
+entry of size at least d has its fields unpacked.  It first resolves
+each DAG node once, looking up the class groups of its edges' runs,
+each with the packed closed-formula rows (realbasis.trace_coordinates)
+of its classes summed, so a run costs one push.  It classifies in trie
+order and sorts only the survivors and near misses, in one process, so
 certificates are byte-stable.
 enumerate_patterns expands the same trie into the sorted tuple stream
 the tests check against.
@@ -313,22 +314,11 @@ def enumerate_patterns(n: int, d: int) -> Iterator[tuple[int, ...]]:
 
 # -- case analysis -------------------------------------------------------
 
-_Row = tuple[tuple[int, int], ...]  # sparse (basis position, value) pairs
-# the classes of one choice along a run and their summed row
-_Group = tuple[tuple[int, ...], _Row]
+# the classes of one choice along a run and their summed packed row
+_Group = tuple[tuple[int, ...], int]
 # a resolved trie node: per edge in trie order, the groups of its run and
 # the resolved node after it, or None for a leaf
 _Node = list[tuple[list[_Group], "_Node | None"]]
-
-
-def _sum_rows(*rows: _Row) -> _Row:
-    """The sum of sparse rows, at distinct positions, without zero entries."""
-    total: dict[int, int] = {}
-    get = total.get
-    for row in rows:
-        for k, v in row:
-            total[k] = get(k, 0) + v
-    return tuple([kv for kv in total.items() if kv[1]])
 
 
 @dataclass(frozen=True)
@@ -384,23 +374,27 @@ def _search(n: int, d: int, zero_slot_open: bool) -> CaseCertificate:
     iff its deviation vector is nonzero and divisible by d at every
     basis index; "eliminated" means no pattern survives.
     One depth-first search over the assignment trie visits each pattern
-    once, as a stack of per-cell class groups: pushing a group adds its
-    summed row to the deviation and popping it subtracts the row, and a
-    pattern is classified from two running counts, in time linear in the
-    support of its last group.  The deviation is a flat list over the
-    basis positions, each entry stored plus an offset, and the counts are
-    read from a list indexed by that stored value.  No pattern list is
-    built.  Only zero deviations are counted as they are met.  The
-    pruning stats are built once, after the search: the survivor and
-    near-miss counts are the lengths of their lists, and every other
-    pattern is a plain divisibility failure.
+    once, as a path of per-cell class groups.  The deviation is one int
+    with a field per basis position, each entry stored plus an offset
+    (the comment in the body proves the width), so pushing a group passes
+    the deviation plus the group's packed row down the recursion, and
+    nothing is undone on the way back.  A pattern is classified in a
+    fixed number of int operations, whatever the basis length: equal to
+    the packed offsets is a zero deviation, a set top bit in one of two
+    shifted copies means some entry of size at least d, and anything
+    else is a plain divisibility failure.  Only the second kind is
+    unpacked, for the bound check and the survivor or near-miss test.
+    No pattern list is built.  Only zero deviations are counted as they
+    are met.  The pruning stats are built once, after the search: the
+    survivor and near-miss counts are the lengths of their lists, and
+    every other pattern is a plain divisibility failure.
 
     Each trie node is resolved once, on its identity, into its edges in
     trie order with the groups of their runs.  A group is one choice of
     classes from the run's first cell plus the fixed classes of its
-    one-class steps, with the rows of all of them summed into distinct
-    positions, so a run costs one push, and a leaf can score its row
-    without writing the deviation.  Edges keep their trie order, leaf
+    one-class steps, with the packed rows of all of them summed, so a run
+    costs one push, and a leaf adds its group's sum without storing
+    it.  Edges keep their trie order, leaf
     edges among inner ones, so a bound violation is reported on the
     first violating pattern in trie order.  tuples_examined counts
     patterns, not pushes.  Survivors and near misses are sorted by
@@ -429,39 +423,46 @@ def _search(n: int, d: int, zero_slot_open: bool) -> CaseCertificate:
     near: list[NearMiss] = []
     examined = zero = 0
 
-    # acc: the deviation of the classes on the search path, one entry per
-    # basis position, plus off, starting from g's character data negated
-    # (the rows of the classes of 1..d).  Positions no row touches stay at
-    # 0 + off, which moves neither the maximum nor any test.
+    # The deviation of the classes on the search path is one int: field k,
+    # `width` bits at bit k*width, holds the deviation v at basis position k
+    # plus off.  It starts from g's character data negated (the rows of the
+    # classes of 1..d), and a push adds a group's packed row.
     #
     # Why off = 2*d*m is large enough, with m the largest |row value| over
-    # the classes of 1..d and every class of a usable cell: the start is
-    # a sum of d such rows, so |acc[k]| <= d*m there.  A path places d
-    # classes, each from a usable cell, and every value the search writes
-    # or scores at k (after a push, part way through one, or a leaf's
-    # old + v) is the start plus the row values at k of some of the
-    # path's classes, since a group's row sums the rows of its classes
-    # into distinct positions.  That adds at most d*m more, so
-    # 0 <= acc[k] <= 2*off.  A negative list index wraps without an
-    # error, so a smaller off would give wrong answers.
+    # the classes of 1..d and every class of a usable cell: the start is a
+    # sum of d such rows, so |v| <= d*m there.  A path places d classes,
+    # each from a usable cell, and every deviation the search forms (after
+    # a push, or at a leaf) is the start plus the rows of some of the
+    # path's classes, which adds at most d*m more: |v| <= off.
+    #
+    # Why no field carries into the next.  half is the smallest power of
+    # two >= off + d and a field holds [0, 2*half).  A packed row is a
+    # signed sum of shifted values and integer addition is exact, so an int
+    # whose true fields all lie in [0, 2*half) reads back field by field.
+    # The deviation's fields, v + off, lie in [0, 2*off].  Field k of
+    # z + up is v + half - d and field k of down - z is half - d - v; with
+    # |v| <= off both lie in [half - off - d, half + off - d], inside
+    # [0, 2*half) as half >= off + d.  So the top bit of the first is set
+    # iff v >= d, that of the second iff v <= -d, and
+    # (z + up | down - z) & high is nonzero iff some |v| >= d; z == offs
+    # iff every v is 0.  A pattern with every |v| < d cannot break the
+    # bound, as d <= cap + 1, nor be a nonzero multiple of d, so only the
+    # others take the slow path, which unpacks the fields.
     identity = [class_rep(n, i) for i in range(1, d + 1)]
-    m = max((abs(v) for x in chain(identity, *cells) for _, v in rows[x]), default=0)
+    usable = set(chain(identity, *cells))
+    m = max((abs(v) for x in usable for _, v in rows[x]), default=0)
     off = 2 * d * m
-    acc = [off] * len(basis)
-    for x in identity:
-        for k, v in rows[x]:
-            acc[k] -= v
-    # The search state packs two counts over acc: the nonzero values in its
-    # low `shift` bits and the values with |v| >= d above them, so updating
-    # one position costs two list reads of tally[v + off], the entry for
-    # value v.  Each count is below 2**shift, so neither spills into the
-    # other.  A pattern with every |v| < d cannot break the bound, as
-    # d <= cap + 1, nor be a nonzero multiple of d, so only the others take
-    # the slow path that scans acc.
-    shift = len(basis).bit_length()
-    tally = [(v != 0) + ((abs(v) >= d) << shift) for v in range(-off, off + 1)]
+    half = 1 << (off + d - 1).bit_length()
+    width, size = half.bit_length(), len(basis)
+    # one 1 in the low bit of every field, by one division, as a sum of
+    # shifted ones would be quadratic in size
+    ones = ((1 << size * width) - 1) // ((1 << width) - 1)
+    offs, high = off * ones, half * ones
+    up, down = (half - off - d) * ones, (half + off - d) * ones
+    packed = {x: sum(v << k * width for k, v in rows[x]) for x in usable}
+    start = offs - sum(packed[x] for x in identity)
     # run -> each combination of classes of its first cell plus the fixed
-    # classes of its one-class steps, with their summed sparse row, built at
+    # classes of its one-class steps, with their summed packed row, built at
     # first use
     groups: dict[_Run, list[_Group]] = {}
     # trie node identity -> its resolved edges
@@ -481,7 +482,7 @@ def _search(n: int, d: int, zero_slot_open: bool) -> CaseCertificate:
                     raise InvariantViolationError(
                         f"enumeration emitted a pattern violating the class-0 slot rule at (n={n}, d={d})"
                     )
-                out.append((group, _sum_rows(*(rows[x] for x in group))))
+                out.append((group, sum(packed[x] for x in group)))
         return out
 
     def resolve(node: _Trie) -> _Node:
@@ -490,54 +491,42 @@ def _search(n: int, d: int, zero_slot_open: bool) -> CaseCertificate:
             out = resolved[id(node)] = [(groups_of(run), child and resolve(child)) for run, child in node]
         return out
 
-    def classify_slow(group: tuple[int, ...], delta: _Row) -> None:
+    def classify_slow(group: tuple[int, ...], z: int) -> None:
         # some |v| >= d: the bound check, then a survivor or a near miss
-        for k, v in delta:
-            acc[k] += v
+        bits = format(z, f"0{size * width}b")  # the top field, size - 1, first
+        dev = [int(bits[i : i + width], 2) - off for i in range(0, size * width, width)][::-1]
         classes = tuple(sorted(chain(*stack, group)))
-        max_abs = max(max(acc) - off, off - min(acc))
+        max_abs = max(max(dev), -min(dev))
         bound = cap + 1 if 0 in classes else cap
         if max_abs > bound:
             raise InvariantViolationError(
                 f"deviation {max_abs} exceeds bound {bound} on pattern {classes} at (n={n}, d={d})"
             )
-        k = next((k for k, v in enumerate(acc) if (v - off) % d), None)
+        k = next((k for k, v in enumerate(dev) if v % d), None)
         if k is None:
             survivors.append(classes)
         else:
-            near.append(NearMiss(classes, max_abs, basis[k], acc[k] - off))
-        for k, v in delta:
-            acc[k] -= v
+            near.append(NearMiss(classes, max_abs, basis[k], dev[k]))
 
-    def search(node: _Node, state: int) -> None:
+    def search(node: _Node, acc: int) -> None:
         nonlocal examined, zero
         for gs, child in node:
             if child is None:
-                # a leaf per group: score it without writing to acc
+                # a leaf per group
                 examined += len(gs)
                 for group, delta in gs:
-                    s = state
-                    for k, v in delta:
-                        old = acc[k]
-                        s += tally[old + v] - tally[old]
-                    if s >> shift:
-                        classify_slow(group, delta)
-                    elif not s:
+                    z = acc + delta
+                    if z == offs:
                         zero += 1
+                    elif (z + up | down - z) & high:
+                        classify_slow(group, z)
                 continue
             for group, delta in gs:
-                s = state
-                for k, v in delta:
-                    old = acc[k]
-                    acc[k] = new = old + v
-                    s += tally[new] - tally[old]
                 stack.append(group)
-                search(child, s)
+                search(child, acc + delta)
                 stack.pop()
-                for k, v in delta:
-                    acc[k] -= v
 
-    search(resolve(trie), sum(tally[v] for v in acc))
+    search(resolve(trie), start)
     # as in _assignment_trie: unbinding the recursive closures frees the
     # groups, rows and resolved nodes on return
     del resolve, search

@@ -10,7 +10,8 @@ prime layer index the distinguished basis of the real cyclotomic
 subring (see torunits.realbasis).
 
 All band thresholds are compared through the integer inequality
-2*p*|r| <=> n_p; no rationals or floats are involved.  Everything here
+2*p*|r| < n_p, held in one place as the band's radius (band_radius);
+no rationals or floats are involved.  Everything here
 is a pure function of immutable values.
 """
 
@@ -98,18 +99,28 @@ def signed_residue(x: int, n: int) -> int:
     return r - n if 2 * r > n else r
 
 
+def band_radius(p: int, e: int) -> int:
+    """The largest |r| of the near-zero band at the layer n_p = p^e.
+
+    The band is the signed residues r mod n_p with |r| < n_p / (2p),
+    compared exactly as 2*p*|r| < n_p, which for integers is
+    |r| <= (n_p - 1) // (2p).  This is the one definition of the band;
+    near_zero_part and the basis sieve of torunits.realbasis read it.
+    """
+    return (p**e - 1) // (2 * p)
+
+
 def near_zero_part(n: int, x: int) -> int:
     """Product of the primes p | n at which x falls in the near-zero band.
 
-    p contributes iff |signed_residue(x, n_p)| < n_p / (2p), compared
-    exactly as 2*p*|r| < n_p.  Always a squarefree divisor of rad(n).
+    p contributes iff |signed_residue(x, n_p)| <= band_radius(p, e),
+    n_p = p^e the p-part of n.  Always a squarefree divisor of rad(n).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     out = 1
     for p, e in factorize(n):
-        np_ = p**e
-        if 2 * p * abs(signed_residue(x, np_)) < np_:
+        if abs(signed_residue(x, p**e)) <= band_radius(p, e):
             out *= p
     return out
 
@@ -147,7 +158,7 @@ def basis_exponents(n: int) -> tuple[int, ...]:
     These exponents b are exactly the ones for which {zeta_n^b} is a
     Z-basis of Z[zeta_n]; the set is closed under negation and has
     euler_phi(n) elements.  For squarefree n it is the set of units.
-    The band is tested once, by near_zero_part: for odd p the bound
+    The band is tested by near_zero_part: for odd p the bound
     2*p*|r| = n_p is never met, so a residue is outside the band at
     every layer exactly when it is near zero at no prime.
     """

@@ -57,13 +57,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from operator import mul
 from typing import Mapping, Sequence
 
 from torunits.cyclotomic import _root_walk, cyclotomic_poly
 from torunits.numtheory import (
+    band_radius,
     class_rep,
     class_reps,
+    factorize,
     moebius,
     near_zero_part,
     pair_weight,
@@ -79,11 +82,21 @@ def basis_indices(n: int) -> tuple[int, ...]:
     """One representative in [1, n/2] per sign pair of basis exponents.
 
     These are the b in [1, n/2] with near_zero_part(n, b) == 1, as in
-    torunits.numtheory.basis_exponents.
+    torunits.numtheory.basis_exponents, found by a sieve over [0, n/2]:
+    for each p^e || n and each r with |r| <= band_radius(p, e), the b = r
+    mod p^e are near zero at p and are blanked by one slice assignment.
+    r = 0 blanks b = 0.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need an odd modulus >= 3, got {n}")
-    return tuple(b for b in range(1, n // 2 + 1) if near_zero_part(n, b) == 1)
+    half = n // 2
+    keep = bytearray(b"\1") * (half + 1)
+    for p, e in factorize(n):
+        q, radius = p**e, band_radius(p, e)
+        for r in range(-radius, radius + 1):
+            start = r % q
+            keep[start::q] = bytes(len(range(start, half + 1, q)))
+    return tuple(compress(range(half + 1), keep))
 
 
 @lru_cache(maxsize=None)

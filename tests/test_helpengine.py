@@ -596,12 +596,13 @@ class _DictTally(dict):
 
 def _reference_check_case(n, d):
     # check_case as it was before one-class cells were folded into runs and
-    # before its state became flat lists: one push per group of every cell
-    # step, a dict accumulator keyed by basis position and a dict tally
-    # keyed by value, and a count per plain divisibility failure.  It reads
-    # the rows and the trie through the helpengine module, so a test that
-    # patches them patches both sides, and writes each run of the trie as a
-    # chain of one edge per step.
+    # before its deviation became one packed int: one push per group of
+    # every cell step, a dict accumulator keyed by basis position, a dict
+    # tally keyed by value whose two running counts (nonzero entries and
+    # entries with |v| >= d) classify each leaf, and a count per plain
+    # divisibility failure.  It reads the rows and the trie through the
+    # helpengine module, so a test that patches them patches both sides,
+    # and writes each run of the trie as a chain of one edge per step.
     from itertools import chain, combinations_with_replacement
 
     from torunits import helpengine
@@ -842,22 +843,50 @@ def test_joined_links_stop_at_the_reference_violation(n, d, reverse, scale, firs
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("n, d", [(15, 3), (21, 3), (45, 3), (35, 5), (45, 5), (63, 7)])
 def test_extreme_rows_reach_the_offset_bound(n, d, sign):
-    # check_case stores acc[k] + 2*d*m, m the largest |row value|, and reads
-    # the tally at that index.  Here every row is empty but at position 0:
-    # -sign*m for the classes of 1..d and +sign*m for those of a pattern P
-    # that shares none of them, with m = 1.  acc[0] starts at sign*d*m and
-    # P adds d*m more, so |acc[0]| reaches exactly 2*d*m, the bound the
-    # offset is derived from; at sign = 1 that is the last tally entry.  For
-    # d = 3, 6 <= cap, so the search runs to the end and P is a survivor;
-    # for larger d both searches stop at the same bound violation.
-    identity = {class_rep(n, i) for i in range(1, d + 1)}
-    p = next(p for p in enumerate_patterns(n, d) if not identity & set(p))
-    value = {x: -sign for x in identity} | {x: sign for x in p}
-    rows = {x: ((0, value[x]),) if x in value else () for x in class_reps(n)}
-    got, want = _run_on(n, d, rows, _reference_trie(n, d))
-    assert got == want
+    # check_case packs each deviation entry v as v + off, off = 2*d*m with m
+    # the largest |row value|, into a field sized from off and d.  Here
+    # every row is empty but at position 0, with m = 1: +sign for the
+    # classes of a pattern P that shares none of the classes of 1..d, so P
+    # adds sign*d to v, and two choices of start.
+    # - -sign for every class of 1..d: v starts at sign*d, so |v| reaches
+    #   exactly 2*d*m, the bound off is derived from: the field holds 2*off
+    #   at sign = 1 and 0 at sign = -1.  For d = 3, 6 <= cap, so the search
+    #   runs to the end and P is a survivor; for larger d both searches
+    #   stop at the same bound violation.
+    # - +sign for one class of 1..d: v starts at -sign, so |v| = d - 1 at P,
+    #   a plain divisibility failure, not a near miss.
+    # A field one bit narrower than check_case's overflows at (35, 5) and
+    # (45, 5) in the first, and borrows from the next field and flags P in
+    # the second.
+    identity = [class_rep(n, i) for i in range(1, d + 1)]
+    p = next(p for p in enumerate_patterns(n, d) if not set(identity) & set(p))
+    certs = []
+    for start in ({x: -sign for x in identity}, {identity[0]: sign}):
+        value = start | {x: sign for x in p}
+        rows = {x: ((0, value[x]),) if x in value else () for x in class_reps(n)}
+        got, want = _run_on(n, d, rows, _reference_trie(n, d))
+        assert got == want, start
+        certs.append(got)
     if d == 3:
-        assert list(p) in json.loads(got)["survivors"]
+        assert list(p) in json.loads(certs[0])["survivors"]
+    below = json.loads(certs[1])
+    assert list(p) not in below["survivors"]
+    assert list(p) not in [nm["pattern"] for nm in below["near_miss_witnesses"]]
+
+
+def test_every_retained_case_below_2000_matches_the_recorded_digest():
+    # one sha256 over the certificate JSON of every retained case of odd
+    # composite n < 2000, in order of n and then d, recorded in
+    # tests/data/retained_cases_below_2000.json before the search state was
+    # packed into one int
+    want = json.loads((DATA / "retained_cases_below_2000.json").read_text())
+    digest = hashlib.sha256()
+    cases = 0
+    for n in _odd_composites(2000):
+        for d in candidate_divisors(n).retained_ds:
+            digest.update(json.dumps(check_case(n, d).to_json_dict(), indent=2).encode() + b"\n")
+            cases += 1
+    assert {"cases": cases, "sha256": digest.hexdigest()} == want
 
 
 @pytest.mark.parametrize(

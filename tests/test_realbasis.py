@@ -46,6 +46,13 @@ def test_basis_indices_sizes():
         assert len(basis_indices(n)) == euler_phi(n) // 2
 
 
+def test_basis_indices_sieve_matches_basis_exponents():
+    # basis_indices sieves the near-zero band out slice by slice;
+    # basis_exponents tests each residue with near_zero_part
+    for n in range(3, 5000, 2):
+        assert basis_indices(n) == tuple(b for b in basis_exponents(n) if 2 * b <= n), n
+
+
 def _layer_basis_exponents(n):
     # the basis exponents by their own band loop: x is kept when, at every
     # prime layer n_p = p^e, 2*p*|signed_residue(x, n_p)| > n_p
